@@ -34,8 +34,3 @@ fn render(layers: &[LayerResult]) {
     );
     dump_json("fig10_alexnet_breakdown", layers, &SCHEMES);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

@@ -33,8 +33,3 @@ fn render(layers: &[LayerResult]) {
     );
     dump_json("fig11_googlenet_breakdown", layers, &SCHEMES);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

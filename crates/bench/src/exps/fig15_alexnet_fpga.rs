@@ -27,8 +27,3 @@ fn render(layers: &[LayerResult]) {
     print_speedup_figure("Figure 15: AlexNet Speedup on FPGA", layers, &SCHEMES, &[]);
     dump_json("fig15_alexnet_fpga", layers, &SCHEMES);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

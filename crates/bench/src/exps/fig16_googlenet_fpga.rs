@@ -31,8 +31,3 @@ fn render(layers: &[LayerResult]) {
     );
     dump_json("fig16_googlenet_fpga", layers, &SCHEMES);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

@@ -26,8 +26,3 @@ fn render(layers: &[LayerResult]) {
     print_speedup_figure("Figure 17: VGGNet Speedup on FPGA", layers, &SCHEMES, &[]);
     dump_json("fig17_vggnet_fpga", layers, &SCHEMES);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

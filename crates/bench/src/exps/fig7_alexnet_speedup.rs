@@ -31,8 +31,3 @@ fn render(layers: &[LayerResult]) {
     );
     dump_json("fig7_alexnet_speedup", layers, &schemes);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

@@ -25,8 +25,3 @@ fn render(layers: &[LayerResult]) {
     );
     dump_json("fig8_googlenet_speedup", layers, &schemes);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

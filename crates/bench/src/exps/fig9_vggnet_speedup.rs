@@ -35,8 +35,3 @@ fn render(layers: &[LayerResult]) {
     );
     dump_json("fig9_vggnet_speedup", layers, &schemes);
 }
-
-/// Serial entry point used by the standalone binary.
-pub fn run() {
-    figure().run_serial();
-}

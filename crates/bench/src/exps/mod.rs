@@ -1,11 +1,11 @@
-//! The experiment bodies behind every figure/table binary.
+//! The experiment bodies behind every registry job.
 //!
 //! Each module regenerates one table, figure, sweep, or ablation of the
-//! paper and is shared between its thin `src/bin/` wrapper (serial, prints
-//! to stdout) and the parallel orchestration harness (`sparten-harness`),
-//! which runs the same code under an output capture. All output must go
-//! through [`crate::outln!`]/[`crate::out!`] and [`crate::sink::artifact`]
-//! so both paths produce byte-identical results.
+//! paper; `sparten-harness run` runs it under an output capture, and its
+//! output is committed as `results/<name>.txt` (plus `results/<name>.json`
+//! for the per-layer figures). All output must go through
+//! [`crate::outln!`]/[`crate::out!`] and [`crate::sink::artifact`] so the
+//! capture sees every byte.
 
 pub mod ablation_bisection;
 pub mod ablation_chunk_size;

@@ -4,16 +4,9 @@
 
 use sparten::sim::validate::{standard_battery, validate_layer};
 use crate::print_table;
-use std::process::ExitCode;
 
-/// Runs the battery for the harness; the verdict is part of the output.
+/// Runs the battery; the verdict is the last line of the output.
 pub fn run() {
-    run_checked();
-}
-
-/// Runs the battery and reports failure through the process exit status
-/// (used by the standalone binary).
-pub fn run_checked() -> ExitCode {
     crate::outln!("== Validation battery ==\n");
     let mut rows = Vec::new();
     let mut all_ok = true;
@@ -53,9 +46,7 @@ pub fn run_checked() -> ExitCode {
     );
     if all_ok {
         crate::outln!("\nall validation cases passed");
-        ExitCode::SUCCESS
     } else {
         crate::outln!("\nVALIDATION FAILURES PRESENT");
-        ExitCode::FAILURE
     }
 }

@@ -1,12 +1,14 @@
-//! Shared helpers for the benchmark harness binaries.
+//! The paper's evaluation as a library: every table, figure, sweep, and
+//! ablation.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index); the binaries are thin wrappers around
-//! the experiment modules in [`exps`], which the parallel orchestration
-//! harness (`sparten-harness`) drives directly. This library holds the
-//! common pieces: table formatting, per-network experiment drivers, the
-//! capturable output sink, a hand-rolled JSON writer, the std-only
-//! micro-benchmark timer, and the experiment registry.
+//! Each module in [`exps`] regenerates one table or figure of the paper
+//! (see DESIGN.md §4 for the index), and [`registry`] lists them as the
+//! jobs the orchestration harness (`sparten-harness run`) schedules. This
+//! library also holds the common pieces: table formatting, per-network
+//! experiment drivers, the capturable output sink, a hand-rolled JSON
+//! writer, the storage seam ([`vfs`]), and the `harness bench` registry
+//! with its std-only timer. `src/bin/sparten_cli.rs` is a small CLI
+//! over the simulators and the energy model.
 
 pub mod exps;
 pub mod experiments;

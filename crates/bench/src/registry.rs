@@ -6,10 +6,7 @@
 //! ([`Runner::Whole`]) or — for the per-network figures, the expensive
 //! majority of the evaluation — exposes per-layer points
 //! ([`Runner::PerLayer`]) that independent workers simulate concurrently
-//! and a deterministic render step recombines in layer order. The serial
-//! `src/bin/` wrappers drive the *same* compute and render code, which is
-//! what guarantees harness output is byte-identical to the standalone
-//! binaries.
+//! and a deterministic render step recombines in layer order.
 
 use crate::experiments::{run_layer, run_layer_telemetry, LayerResult};
 use crate::exps;
@@ -126,15 +123,6 @@ impl NetworkFigure {
             cfg.fingerprint(),
         )
     }
-
-    /// Serial fallback used by the standalone binaries: compute every
-    /// point in order, then render.
-    pub fn run_serial(&self) {
-        let layers: Vec<LayerResult> = (0..self.num_points())
-            .map(|i| self.compute_point(i))
-            .collect();
-        (self.render)(&layers);
-    }
 }
 
 /// How an experiment executes.
@@ -149,7 +137,7 @@ pub enum Runner {
 /// One registered experiment.
 #[derive(Clone, Copy)]
 pub struct ExperimentSpec {
-    /// Unique name; matches the `src/bin/` binary and `results/` basename.
+    /// Unique name; the `results/` basename of its output.
     pub name: &'static str,
     /// Artifact kind.
     pub kind: ExperimentKind,
@@ -287,9 +275,21 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_every_results_binary() {
-        // One registered experiment per non-CLI binary in src/bin/.
-        assert_eq!(all_experiments().len(), 32);
+    fn registry_covers_every_results_file() {
+        // Each job's stdout is committed as results/<name>.txt, and every
+        // committed results/*.txt is some job's stdout.
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut goldens: Vec<String> = std::fs::read_dir(&results)
+            .expect("results/ is readable")
+            .map(|e| e.expect("results/ entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        goldens.sort();
+        let mut names: Vec<&str> = all_experiments().iter().map(|e| e.name).collect();
+        names.sort();
+        assert_eq!(names.len(), 32);
+        assert_eq!(goldens, names);
     }
 
     #[test]

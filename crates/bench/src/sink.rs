@@ -2,12 +2,11 @@
 //!
 //! Every table/figure driver writes its human-readable output through
 //! [`crate::outln!`]/[`crate::out!`] and its file artifacts (JSON rows)
-//! through [`artifact`]. By default both go where they always did — stdout
-//! and `results/` — so the standalone binaries behave unchanged. When the
-//! orchestration harness runs an experiment it installs a thread-local
-//! capture first, and the exact bytes the binary would have printed are
-//! collected instead: that is what gets cached, diffed, and written with
+//! through [`artifact`]. The orchestration harness installs a
+//! thread-local capture before it runs an experiment, and the bytes are
+//! collected there: that is what gets cached, diffed, and written with
 //! deterministic ordering regardless of worker-thread interleaving.
+//! Outside a capture the text goes to stdout (the `sparten_cli` tables).
 
 use std::cell::RefCell;
 use std::fmt;
@@ -83,26 +82,20 @@ pub fn out_args(args: fmt::Arguments<'_>) {
     });
 }
 
-/// Records a file artifact. Captured runs collect it; standalone runs write
-/// it to disk immediately (creating parent directories) and note the path
-/// on stderr, exactly as the old binaries did.
+/// Records a file artifact in the active capture; the harness writes it
+/// (atomically) once the experiment's output is final.
+///
+/// # Panics
+///
+/// Panics if no capture is active: artifacts exist only under the harness.
 pub fn artifact(path: &str, contents: &str) {
-    let captured = ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        if let Some(c) = slot.as_mut() {
-            c.artifacts.push((path.to_string(), contents.to_string()));
-            true
-        } else {
-            false
-        }
+    ACTIVE.with(|a| {
+        a.borrow_mut()
+            .as_mut()
+            .expect("artifact outside an output capture")
+            .artifacts
+            .push((path.to_string(), contents.to_string()));
     });
-    if !captured {
-        // Atomic (tmp + fsync + rename) so a kill mid-experiment can never
-        // leave a half-written artifact behind.
-        if crate::fsutil::atomic_write(path, contents).is_ok() {
-            eprintln!("(wrote {path})");
-        }
-    }
 }
 
 #[cfg(test)]

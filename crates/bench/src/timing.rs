@@ -1,10 +1,9 @@
-//! A std-only micro-benchmark harness for the `benches/` targets.
+//! The std-only micro-benchmark timer behind `harness bench`.
 //!
-//! The workspace builds offline, so the benches cannot use `criterion`.
-//! This is the minimal replacement: warm up, run timed batches until a
-//! fixed wall-clock budget is spent, and report the per-iteration time for
-//! the fastest batch (the usual low-noise estimator for micro-benchmarks).
-//! Targets keep `harness = false` and call [`group`] from `main`.
+//! The workspace builds offline, so it cannot use `criterion`. This is the
+//! minimal replacement: warm up, run timed batches until a fixed
+//! wall-clock budget is spent, and report the per-iteration time for the
+//! fastest batch (the usual low-noise estimator for micro-benchmarks).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -18,10 +17,8 @@ pub struct Measurement {
     pub iters: u64,
 }
 
-/// Measures `f` under a wall-clock budget and returns the estimate
-/// instead of printing it — the programmatic core shared by the
-/// `benches/` targets (via [`Group::bench`]) and the `harness bench`
-/// perf-regression registry.
+/// Measures `f` under a wall-clock budget and returns the estimate; the
+/// perf-regression registry ([`crate::perf`]) times every benchmark this way.
 pub fn measure<T, F: FnMut() -> T>(budget: Duration, mut f: F) -> Measurement {
     // Warm-up: one untimed call, then size the batch so a batch takes
     // roughly 1/10 of the budget.
@@ -48,87 +45,14 @@ pub fn measure<T, F: FnMut() -> T>(budget: Duration, mut f: F) -> Measurement {
     }
 }
 
-/// One named benchmark group; prints results as `group/id  …` lines.
-pub struct Group {
-    name: String,
-    budget: Duration,
-}
-
-/// Opens a benchmark group with the default 100 ms per-benchmark budget.
-pub fn group(name: &str) -> Group {
-    Group {
-        name: name.to_string(),
-        budget: Duration::from_millis(100),
-    }
-}
-
-impl Group {
-    /// Overrides the per-benchmark measurement budget.
-    pub fn budget_ms(&mut self, ms: u64) -> &mut Self {
-        self.budget = Duration::from_millis(ms);
-        self
-    }
-
-    /// Measures `f`, reporting nanoseconds per iteration under `id`.
-    pub fn bench<T, F: FnMut() -> T>(&mut self, id: &str, f: F) {
-        let m = measure(self.budget, f);
-        println!(
-            "{}/{:<32} {:>14} ns/iter  ({} iters)",
-            self.name,
-            id,
-            format_ns(m.ns_per_iter),
-            m.iters,
-        );
-    }
-
-    /// Ends the group (prints a separator, mirrors the criterion API).
-    pub fn finish(self) {
-        println!();
-    }
-}
-
-fn format_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2}e9", ns / 1e9)
-    } else {
-        let v = ns.round() as u64;
-        // Thousands separators for readability.
-        let s = v.to_string();
-        let mut out = String::new();
-        for (i, c) in s.chars().enumerate() {
-            if i > 0 && (s.len() - i).is_multiple_of(3) {
-                out.push(',');
-            }
-            out.push(c);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_runs_and_counts_iters() {
-        let mut g = group("t");
-        g.budget_ms(5);
-        let mut calls = 0u64;
-        g.bench("noop", || calls += 1);
-        assert!(calls > 0);
-        g.finish();
-    }
 
     #[test]
     fn measure_returns_finite_estimate() {
         let m = measure(Duration::from_millis(5), || 2u64 + 2);
         assert!(m.ns_per_iter.is_finite() && m.ns_per_iter >= 0.0);
         assert!(m.iters > 0);
-    }
-
-    #[test]
-    fn formats_thousands() {
-        assert_eq!(format_ns(1234567.0), "1,234,567");
-        assert_eq!(format_ns(12.0), "12");
     }
 }

@@ -1,20 +1,12 @@
-//! Network chaos taxonomy and campaign planning for the serve daemon.
+//! The chaos campaign's vocabulary: hostile clients over real sockets.
 //!
-//! A separate vocabulary from [`FaultClass`](crate::FaultClass) on
-//! purpose: the data-fault campaign perturbs tensors, units, and cache
-//! bytes *inside* the stack, while chaos trials attack the serve daemon
-//! from *outside* — over real sockets, with the misbehaviors production
-//! clients actually exhibit. Keeping the taxonomies apart also keeps the
-//! fault campaign's pinned totals (`8 × trials`) and byte-identical
-//! report stable.
-//!
-//! Like the fault plan, a chaos plan is a flat list of seeded trials:
-//! the same `(seed, trials_per_class)` always produces the same plan,
-//! the same per-trial RNG streams, and — because the report tallies only
-//! invariant outcomes, never timings — a byte-identical report.
+//! The fault campaign perturbs tensors, units, and cache bytes *inside*
+//! the stack; chaos trials attack the serve daemon from *outside*, with
+//! the misbehaviors production clients actually exhibit. Planning,
+//! tallying and rendering are the shared framework's; this module holds
+//! only the classes and the [`CHAOS`] taxonomy.
 
-use crate::rng::FaultRng;
-use std::fmt::Write as _;
+use crate::plan::{Taxonomy, INVARIANT_OUTCOMES};
 
 /// The kinds of client/network misbehavior the chaos campaign drives
 /// against a live server.
@@ -39,259 +31,59 @@ pub enum ChaosClass {
     QueueFlood,
 }
 
-impl ChaosClass {
-    /// All chaos classes, in the fixed campaign order.
-    pub fn all() -> &'static [ChaosClass] {
-        &[
-            ChaosClass::TornBody,
-            ChaosClass::SlowLoris,
-            ChaosClass::MidStreamDisconnect,
-            ChaosClass::DeadlineStorm,
-            ChaosClass::QueueFlood,
-        ]
-    }
-
-    /// Stable human-readable label (used in reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            ChaosClass::TornBody => "torn-body",
-            ChaosClass::SlowLoris => "slow-loris",
-            ChaosClass::MidStreamDisconnect => "mid-stream-disconnect",
-            ChaosClass::DeadlineStorm => "deadline-storm",
-            ChaosClass::QueueFlood => "queue-flood",
-        }
-    }
-
-    fn index(self) -> u64 {
-        ChaosClass::all()
-            .iter()
-            .position(|&c| c == self)
-            .expect("class listed in all()") as u64
-    }
-}
-
-/// One planned chaos trial: a class, a trial index within the class, and
-/// the derived seed that makes the trial reproducible in isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosSpec {
-    /// What kind of misbehavior to drive.
-    pub class: ChaosClass,
-    /// Trial index within the class (0-based).
-    pub trial: u32,
-    /// Seed for this trial's private RNG stream.
-    pub seed: u64,
-}
-
-impl ChaosSpec {
-    /// The trial's private RNG, seeded from [`ChaosSpec::seed`].
-    pub fn rng(&self) -> FaultRng {
-        FaultRng::seed_from_u64(self.seed)
-    }
-}
-
-/// Builds the chaos plan: `trials_per_class` trials of every class in
-/// [`ChaosClass::all`] order, seeds derived from the campaign seed. The
-/// stream space is offset from the fault campaign's (bit 48) so a chaos
-/// trial never shares an RNG stream with a fault trial of the same seed.
-pub fn chaos_plan(seed: u64, trials_per_class: u32) -> Vec<ChaosSpec> {
-    let mut plan = Vec::with_capacity(ChaosClass::all().len() * trials_per_class as usize);
-    for &class in ChaosClass::all() {
-        for trial in 0..trials_per_class {
-            let stream = 1u64 << 48 | class.index() << 32 | u64::from(trial);
-            plan.push(ChaosSpec {
-                class,
-                trial,
-                seed: FaultRng::derive(seed, stream),
-            });
-        }
-    }
-    plan
-}
-
-/// The post-trial invariant verdict for one chaos trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosOutcome {
-    /// The server survived the trial and every invariant held: no leaked
-    /// permits, no open sessions after drain, every journal sealed,
-    /// cache uncorrupted, no hung threads.
-    Clean,
-    /// At least one invariant was violated after the trial.
-    Violated,
-    /// The trial harness itself panicked (server thread died, driver
-    /// crashed) — always a bug.
-    Crashed,
-}
-
-impl ChaosOutcome {
-    /// Stable label used in the rendered report.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChaosOutcome::Clean => "clean",
-            ChaosOutcome::Violated => "violated",
-            ChaosOutcome::Crashed => "crashed",
-        }
-    }
-}
-
-/// Outcome tallies for one chaos class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassChaos {
-    /// Trials with every invariant intact.
-    pub clean: u32,
-    /// Trials that violated at least one invariant.
-    pub violated: u32,
-    /// Trials that crashed the harness.
-    pub crashed: u32,
-}
-
-impl ClassChaos {
-    /// Total trials recorded for the class.
-    pub fn trials(&self) -> u32 {
-        self.clean + self.violated + self.crashed
-    }
-}
-
-/// Campaign-wide chaos results: one [`ClassChaos`] per class in
-/// [`ChaosClass::all`] order, plus violation detail lines and a
-/// deterministic text rendering (tallies and messages only — never
-/// timings — so equal campaigns render byte-identically).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosReport {
-    /// Campaign seed (reproduces the whole report).
-    pub seed: u64,
-    per_class: Vec<(ChaosClass, ClassChaos)>,
-    /// Deterministic violation descriptions: `(class, trial, message)`.
-    violations: Vec<(ChaosClass, u32, String)>,
-}
-
-impl ChaosReport {
-    /// An empty report for the given campaign seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            per_class: ChaosClass::all()
-                .iter()
-                .map(|&c| (c, ClassChaos::default()))
-                .collect(),
-            violations: Vec::new(),
-        }
-    }
-
-    /// Records one trial outcome; `detail` carries the violation or
-    /// crash message (must itself be deterministic — invariant names and
-    /// counts, not timings or addresses).
-    pub fn record(&mut self, class: ChaosClass, trial: u32, outcome: ChaosOutcome, detail: &str) {
-        let entry = self
-            .per_class
-            .iter_mut()
-            .find(|(c, _)| *c == class)
-            .expect("every class is pre-registered");
-        match outcome {
-            ChaosOutcome::Clean => entry.1.clean += 1,
-            ChaosOutcome::Violated => entry.1.violated += 1,
-            ChaosOutcome::Crashed => entry.1.crashed += 1,
-        }
-        if outcome != ChaosOutcome::Clean {
-            self.violations.push((class, trial, detail.to_string()));
-        }
-    }
-
-    /// Tallies for one class.
-    pub fn class(&self, class: ChaosClass) -> ClassChaos {
-        self.per_class
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, t)| *t)
-            .expect("every class is pre-registered")
-    }
-
-    /// Total violated trials across all classes.
-    pub fn violated(&self) -> u32 {
-        self.per_class.iter().map(|(_, c)| c.violated).sum()
-    }
-
-    /// Total crashed trials across all classes.
-    pub fn crashed(&self) -> u32 {
-        self.per_class.iter().map(|(_, c)| c.crashed).sum()
-    }
-
-    /// Total trials recorded.
-    pub fn trials(&self) -> u32 {
-        self.per_class.iter().map(|(_, c)| c.trials()).sum()
-    }
-
-    /// Renders the chaos table plus any violation details.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== Chaos campaign (seed {}) ==", self.seed);
-        let _ = writeln!(
-            out,
-            "{:<22} {:>8} {:>8} {:>10} {:>8}",
-            "chaos class", "trials", "clean", "violated", "crashed"
-        );
-        for (class, t) in &self.per_class {
-            let _ = writeln!(
-                out,
-                "{:<22} {:>8} {:>8} {:>10} {:>8}",
-                class.label(),
-                t.trials(),
-                t.clean,
-                t.violated,
-                t.crashed
-            );
-        }
-        for (class, trial, detail) in &self.violations {
-            let _ = writeln!(out, "  {} trial {}: {}", class.label(), trial, detail);
-        }
-        let _ = writeln!(
-            out,
-            "total: {} trials, {} violated, {} crashed",
-            self.trials(),
-            self.violated(),
-            self.crashed()
-        );
-        out
-    }
-}
+/// The chaos campaign (`harness chaos`): every trial is clean, violated,
+/// or crashed.
+pub const CHAOS: Taxonomy<ChaosClass> = Taxonomy {
+    title: "Chaos campaign",
+    class_column: ("chaos class", 22),
+    classes: &[
+        (ChaosClass::TornBody, "torn-body"),
+        (ChaosClass::SlowLoris, "slow-loris"),
+        (ChaosClass::MidStreamDisconnect, "mid-stream-disconnect"),
+        (ChaosClass::DeadlineStorm, "deadline-storm"),
+        (ChaosClass::QueueFlood, "queue-flood"),
+    ],
+    outcomes: INVARIANT_OUTCOMES,
+    stream: 1 << 48,
+    trials: 3,
+    quick_trials: 1,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::tests::check_render;
+    use crate::outcome::Outcome;
+    use crate::plan::{plan, FAULTS};
+    use crate::rng::FaultRng;
 
     #[test]
     fn plans_are_deterministic_and_streams_distinct() {
-        let a = chaos_plan(42, 3);
-        let b = chaos_plan(42, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), ChaosClass::all().len() * 3);
-        let mut seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), a.len(), "per-trial seeds must be distinct");
+        // Pinned to the derivation the campaign has always used, so every
+        // per-trial seed (and so every report) stays what it was.
+        let a = plan(&CHAOS, 42, 3);
+        let seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
+        let mut expected = Vec::new();
+        for class in 0..5u64 {
+            for trial in 0..3u64 {
+                expected.push(FaultRng::derive(42, 1 << 48 | class << 32 | trial));
+            }
+        }
+        assert_eq!(seeds, expected);
+        assert_eq!(a, plan(&CHAOS, 42, 3));
         // Disjoint from the fault campaign's streams for the same seed.
-        let fault_seeds: Vec<u64> = crate::campaign_plan(42, 3).iter().map(|s| s.seed).collect();
+        let fault_seeds: Vec<u64> = plan(&FAULTS, 42, 3).iter().map(|s| s.seed).collect();
         assert!(seeds.iter().all(|s| !fault_seeds.contains(s)));
     }
 
     #[test]
     fn reports_render_byte_identically_for_equal_campaigns() {
-        let mut a = ChaosReport::new(9);
-        let mut b = ChaosReport::new(9);
-        for r in [&mut a, &mut b] {
-            r.record(ChaosClass::TornBody, 0, ChaosOutcome::Clean, "");
-            r.record(
-                ChaosClass::QueueFlood,
-                1,
-                ChaosOutcome::Violated,
-                "leaked 1 permit",
-            );
-            r.record(ChaosClass::SlowLoris, 0, ChaosOutcome::Crashed, "panic");
-        }
-        assert_eq!(a.render(), b.render());
-        assert_eq!(a.trials(), 3);
-        assert_eq!(a.violated(), 1);
-        assert_eq!(a.crashed(), 1);
-        assert!(a.render().contains("leaked 1 permit"));
-        assert!(a.render().contains("total: 3 trials, 1 violated, 1 crashed"));
+        // The column layout is pinned: it is what `harness chaos` prints.
+        let text = check_render(&CHAOS, Outcome::Clean, Outcome::Violated);
+        assert!(text.starts_with(
+            "== Chaos campaign (seed 9) ==\n\
+             chaos class              trials    clean   violated  crashed\n\
+             torn-body                     1        1          0        0\n"
+        ));
     }
 }

@@ -1,23 +1,14 @@
-//! Disk-fault taxonomy and campaign planning for the storage layer.
+//! The disk-fault campaign's vocabulary: a filesystem that lies.
 //!
-//! A third vocabulary alongside [`FaultClass`](crate::FaultClass) (data
-//! faults inside the compute stack) and [`ChaosClass`](crate::ChaosClass)
-//! (hostile clients over real sockets): disk faults attack the *durable
-//! state* underneath the harness — the journal, the result cache, the
-//! artifacts — through the `Vfs` seam, the way SQLite's test VFS and
-//! FoundationDB's simulator do. The filesystem lies in a handful of
-//! well-known ways (writes fail when the disk fills, writes tear short,
-//! `fsync` fails, `rename` fails, bits rot at rest) and each way is its
-//! own campaign class so the report attributes recovery bugs to the lie
-//! that exposed them.
-//!
-//! Like the other two plans, a disk plan is a flat list of seeded trials:
-//! the same `(seed, trials_per_class)` always produces the same plan and
-//! the same per-trial RNG streams, and — because the report tallies only
-//! invariant outcomes, never timings — a byte-identical report.
+//! Disk faults attack the *durable state* underneath the harness — the
+//! journal, the result cache, the artifacts — through the `Vfs` seam, the
+//! way SQLite's test VFS and FoundationDB's simulator do. Each way the
+//! filesystem lies is its own class so the report attributes recovery
+//! bugs to the lie that exposed them. Planning, tallying and rendering
+//! are the shared framework's; this module holds only the classes and
+//! the [`DISK`] taxonomy.
 
-use crate::rng::FaultRng;
-use std::fmt::Write as _;
+use crate::plan::{Taxonomy, INVARIANT_OUTCOMES};
 
 /// The kinds of filesystem misbehavior the disk-fault campaign injects
 /// underneath the harness's durable-state writes.
@@ -40,268 +31,63 @@ pub enum DiskFaultClass {
     BitRot,
 }
 
-impl DiskFaultClass {
-    /// All disk-fault classes, in the fixed campaign order.
-    pub fn all() -> &'static [DiskFaultClass] {
-        &[
-            DiskFaultClass::Enospc,
-            DiskFaultClass::ShortWrite,
-            DiskFaultClass::FsyncFailure,
-            DiskFaultClass::RenameFailure,
-            DiskFaultClass::BitRot,
-        ]
-    }
-
-    /// Stable human-readable label (used in reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            DiskFaultClass::Enospc => "enospc",
-            DiskFaultClass::ShortWrite => "short-write",
-            DiskFaultClass::FsyncFailure => "fsync-failure",
-            DiskFaultClass::RenameFailure => "rename-failure",
-            DiskFaultClass::BitRot => "bit-rot",
-        }
-    }
-
-    fn index(self) -> u64 {
-        DiskFaultClass::all()
-            .iter()
-            .position(|&c| c == self)
-            .expect("class listed in all()") as u64
-    }
-}
-
-/// One planned disk-fault trial: a class, a trial index within the class,
-/// and the derived seed that makes the trial reproducible in isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskSpec {
-    /// Which filesystem lie to inject.
-    pub class: DiskFaultClass,
-    /// Trial index within the class (0-based).
-    pub trial: u32,
-    /// Seed for this trial's private RNG stream.
-    pub seed: u64,
-}
-
-impl DiskSpec {
-    /// The trial's private RNG, seeded from [`DiskSpec::seed`].
-    pub fn rng(&self) -> FaultRng {
-        FaultRng::seed_from_u64(self.seed)
-    }
-}
-
-/// Builds the disk plan: `trials_per_class` trials of every class in
-/// [`DiskFaultClass::all`] order, seeds derived from the campaign seed.
-/// The stream space is offset from both the fault campaign's (no offset)
-/// and the chaos campaign's (bit 48) so a disk trial never shares an RNG
-/// stream with either for the same seed.
-pub fn disk_plan(seed: u64, trials_per_class: u32) -> Vec<DiskSpec> {
-    let mut plan = Vec::with_capacity(DiskFaultClass::all().len() * trials_per_class as usize);
-    for &class in DiskFaultClass::all() {
-        for trial in 0..trials_per_class {
-            let stream = 2u64 << 48 | class.index() << 32 | u64::from(trial);
-            plan.push(DiskSpec {
-                class,
-                trial,
-                seed: FaultRng::derive(seed, stream),
-            });
-        }
-    }
-    plan
-}
-
-/// The post-trial recovery verdict for one disk-fault trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskOutcome {
-    /// The faulted run degraded gracefully and the simulated power cut
-    /// recovered (fsck + resume) to a byte-identical clean-prefix state.
-    Clean,
-    /// At least one recovery invariant was violated: a torn artifact was
-    /// trusted, a journaled-complete point was lost, or the recovered
-    /// tree diverged from the clean run.
-    Violated,
-    /// The trial harness itself panicked — always a bug.
-    Crashed,
-}
-
-impl DiskOutcome {
-    /// Stable label used in the rendered report.
-    pub fn label(self) -> &'static str {
-        match self {
-            DiskOutcome::Clean => "clean",
-            DiskOutcome::Violated => "violated",
-            DiskOutcome::Crashed => "crashed",
-        }
-    }
-}
-
-/// Outcome tallies for one disk-fault class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassDisk {
-    /// Trials whose power cut recovered cleanly.
-    pub clean: u32,
-    /// Trials that violated at least one recovery invariant.
-    pub violated: u32,
-    /// Trials that crashed the harness.
-    pub crashed: u32,
-}
-
-impl ClassDisk {
-    /// Total trials recorded for the class.
-    pub fn trials(&self) -> u32 {
-        self.clean + self.violated + self.crashed
-    }
-}
-
-/// Campaign-wide disk-fault results: one [`ClassDisk`] per class in
-/// [`DiskFaultClass::all`] order, plus violation detail lines and a
-/// deterministic text rendering (tallies and messages only — never
-/// timings — so equal campaigns render byte-identically).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiskReport {
-    /// Campaign seed (reproduces the whole report).
-    pub seed: u64,
-    per_class: Vec<(DiskFaultClass, ClassDisk)>,
-    /// Deterministic violation descriptions: `(class, trial, message)`.
-    violations: Vec<(DiskFaultClass, u32, String)>,
-}
-
-impl DiskReport {
-    /// An empty report for the given campaign seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            per_class: DiskFaultClass::all()
-                .iter()
-                .map(|&c| (c, ClassDisk::default()))
-                .collect(),
-            violations: Vec::new(),
-        }
-    }
-
-    /// Records one trial outcome; `detail` carries the violation or
-    /// crash message (must itself be deterministic — invariant names and
-    /// counts, not timings, pids, or absolute paths).
-    pub fn record(
-        &mut self,
-        class: DiskFaultClass,
-        trial: u32,
-        outcome: DiskOutcome,
-        detail: &str,
-    ) {
-        let entry = self
-            .per_class
-            .iter_mut()
-            .find(|(c, _)| *c == class)
-            .expect("every class is pre-registered");
-        match outcome {
-            DiskOutcome::Clean => entry.1.clean += 1,
-            DiskOutcome::Violated => entry.1.violated += 1,
-            DiskOutcome::Crashed => entry.1.crashed += 1,
-        }
-        if outcome != DiskOutcome::Clean {
-            self.violations.push((class, trial, detail.to_string()));
-        }
-    }
-
-    /// Tallies for one class.
-    pub fn class(&self, class: DiskFaultClass) -> ClassDisk {
-        self.per_class
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, t)| *t)
-            .expect("every class is pre-registered")
-    }
-
-    /// Total violated trials across all classes.
-    pub fn violated(&self) -> u32 {
-        self.per_class.iter().map(|(_, c)| c.violated).sum()
-    }
-
-    /// Total crashed trials across all classes.
-    pub fn crashed(&self) -> u32 {
-        self.per_class.iter().map(|(_, c)| c.crashed).sum()
-    }
-
-    /// Total trials recorded.
-    pub fn trials(&self) -> u32 {
-        self.per_class.iter().map(|(_, c)| c.trials()).sum()
-    }
-
-    /// Renders the disk-fault table plus any violation details.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== Disk-fault campaign (seed {}) ==", self.seed);
-        let _ = writeln!(
-            out,
-            "{:<22} {:>8} {:>8} {:>10} {:>8}",
-            "disk fault", "trials", "clean", "violated", "crashed"
-        );
-        for (class, t) in &self.per_class {
-            let _ = writeln!(
-                out,
-                "{:<22} {:>8} {:>8} {:>10} {:>8}",
-                class.label(),
-                t.trials(),
-                t.clean,
-                t.violated,
-                t.crashed
-            );
-        }
-        for (class, trial, detail) in &self.violations {
-            let _ = writeln!(out, "  {} trial {}: {}", class.label(), trial, detail);
-        }
-        let _ = writeln!(
-            out,
-            "total: {} trials, {} violated, {} crashed",
-            self.trials(),
-            self.violated(),
-            self.crashed()
-        );
-        out
-    }
-}
+/// The disk-fault campaign (`harness diskchaos`): every trial's power
+/// cut recovers clean, violates a recovery invariant, or crashes.
+pub const DISK: Taxonomy<DiskFaultClass> = Taxonomy {
+    title: "Disk-fault campaign",
+    class_column: ("disk fault", 22),
+    classes: &[
+        (DiskFaultClass::Enospc, "enospc"),
+        (DiskFaultClass::ShortWrite, "short-write"),
+        (DiskFaultClass::FsyncFailure, "fsync-failure"),
+        (DiskFaultClass::RenameFailure, "rename-failure"),
+        (DiskFaultClass::BitRot, "bit-rot"),
+    ],
+    outcomes: INVARIANT_OUTCOMES,
+    stream: 2 << 48,
+    trials: 3,
+    quick_trials: 1,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::CHAOS;
+    use crate::outcome::tests::check_render;
+    use crate::outcome::Outcome;
+    use crate::plan::{plan, FAULTS};
+    use crate::rng::FaultRng;
 
     #[test]
     fn plans_are_deterministic_and_streams_distinct() {
-        let a = disk_plan(42, 3);
-        let b = disk_plan(42, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), DiskFaultClass::all().len() * 3);
-        let mut seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), a.len(), "per-trial seeds must be distinct");
+        // Pinned to the derivation the campaign has always used, so every
+        // per-trial seed (and so every report) stays what it was.
+        let a = plan(&DISK, 42, 3);
+        let seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
+        let mut expected = Vec::new();
+        for class in 0..5u64 {
+            for trial in 0..3u64 {
+                expected.push(FaultRng::derive(42, 2 << 48 | class << 32 | trial));
+            }
+        }
+        assert_eq!(seeds, expected);
+        assert_eq!(a, plan(&DISK, 42, 3));
         // Disjoint from both sibling campaigns' streams for the same seed.
-        let fault_seeds: Vec<u64> = crate::campaign_plan(42, 3).iter().map(|s| s.seed).collect();
-        let chaos_seeds: Vec<u64> = crate::chaos_plan(42, 3).iter().map(|s| s.seed).collect();
+        let fault_seeds: Vec<u64> = plan(&FAULTS, 42, 3).iter().map(|s| s.seed).collect();
+        let chaos_seeds: Vec<u64> = plan(&CHAOS, 42, 3).iter().map(|s| s.seed).collect();
         assert!(seeds.iter().all(|s| !fault_seeds.contains(s)));
         assert!(seeds.iter().all(|s| !chaos_seeds.contains(s)));
     }
 
     #[test]
     fn reports_render_byte_identically_for_equal_campaigns() {
-        let mut a = DiskReport::new(9);
-        let mut b = DiskReport::new(9);
-        for r in [&mut a, &mut b] {
-            r.record(DiskFaultClass::Enospc, 0, DiskOutcome::Clean, "");
-            r.record(
-                DiskFaultClass::BitRot,
-                1,
-                DiskOutcome::Violated,
-                "artifact diverged",
-            );
-            r.record(DiskFaultClass::ShortWrite, 0, DiskOutcome::Crashed, "panic");
-        }
-        assert_eq!(a.render(), b.render());
-        assert_eq!(a.trials(), 3);
-        assert_eq!(a.violated(), 1);
-        assert_eq!(a.crashed(), 1);
-        assert!(a.render().contains("artifact diverged"));
-        assert!(a.render().contains("total: 3 trials, 1 violated, 1 crashed"));
+        // The column layout is pinned: it is what `harness diskchaos`
+        // prints.
+        let text = check_render(&DISK, Outcome::Clean, Outcome::Violated);
+        assert!(text.starts_with(
+            "== Disk-fault campaign (seed 9) ==\n\
+             disk fault               trials    clean   violated  crashed\n\
+             enospc                        1        1          0        0\n"
+        ));
     }
 }

@@ -2,7 +2,7 @@
 //! through seeded client/network misbehavior, and verify the service's
 //! resilience invariants after every trial.
 //!
-//! One trial = one [`ChaosSpec`] from `sparten::faults::chaos_plan`.
+//! One trial = one [`Spec`] from the [`CHAOS`] plan.
 //! Each trial boots a private in-process [`Server`] (scratch cache and
 //! journal directories, its own shutdown flag, an ephemeral port),
 //! attacks it with the spec's class of misbehavior — torn request
@@ -26,14 +26,13 @@
 use crate::cache::{Cache, Lookup};
 use crate::serve::HarnessBackend;
 use crate::{Experiment, PointPayload};
-use sparten::faults::{chaos_plan, ChaosClass, ChaosOutcome, ChaosReport, ChaosSpec};
+use sparten::faults::{Campaign, ChaosClass, Spec, Taxonomy, Verdict, CHAOS};
 use sparten_bench::{Capture, ExperimentKind};
 use sparten_serve::client::{request, request_with, RequestOptions};
 use sparten_serve::{ServeOptions, Server, ServerProbe};
 use sparten_telemetry::Telemetry;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -46,42 +45,16 @@ use std::time::{Duration, Instant};
 /// full budget exactly once.
 const HANG_BUDGET: Duration = Duration::from_secs(20);
 
-/// Runs a full chaos campaign and returns the report. The report is a
-/// deterministic function of `(seed, trials_per_class)` as long as every
-/// invariant holds; violations append their (deterministic) messages.
-pub fn run_campaign(seed: u64, trials_per_class: u32) -> ChaosReport {
-    let mut report = ChaosReport::new(seed);
-    for spec in chaos_plan(seed, trials_per_class) {
-        // A panicking trial is exactly the "crashed" outcome; the hook
-        // noise is suppressed around the call so expected unwinds don't
-        // spam the campaign output.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = catch_unwind(AssertUnwindSafe(|| run_trial(&spec)));
-        std::panic::set_hook(prev);
-        match result {
-            Ok(violations) if violations.is_empty() => {
-                report.record(spec.class, spec.trial, ChaosOutcome::Clean, "");
-            }
-            Ok(violations) => {
-                report.record(
-                    spec.class,
-                    spec.trial,
-                    ChaosOutcome::Violated,
-                    &violations.join("; "),
-                );
-            }
-            Err(_) => {
-                report.record(
-                    spec.class,
-                    spec.trial,
-                    ChaosOutcome::Crashed,
-                    "trial harness panicked",
-                );
-            }
-        }
+/// The chaos campaign (`harness chaos`).
+pub struct Chaos;
+
+impl Campaign for Chaos {
+    type Class = ChaosClass;
+    const TAXONOMY: &'static Taxonomy<ChaosClass> = &CHAOS;
+
+    fn run_trial(&self, spec: &Spec<ChaosClass>) -> Verdict {
+        Verdict::from_violations(run_trial(spec))
     }
-    report
 }
 
 /// A deterministic synthetic experiment for chaos trials. Points sleep
@@ -157,7 +130,7 @@ struct TrialServer {
 }
 
 fn boot(
-    spec: &ChaosSpec,
+    spec: &Spec<ChaosClass>,
     experiments: Vec<Arc<dyn Experiment>>,
     max_active: usize,
     max_queued: usize,
@@ -297,7 +270,7 @@ impl TrialServer {
     }
 }
 
-fn exps(spec: &ChaosSpec, count: usize, points: usize, delay: Duration) -> Vec<Arc<dyn Experiment>> {
+fn exps(spec: &Spec<ChaosClass>, count: usize, points: usize, delay: Duration) -> Vec<Arc<dyn Experiment>> {
     NAMES
         .iter()
         .take(count)
@@ -312,7 +285,7 @@ fn exps(spec: &ChaosSpec, count: usize, points: usize, delay: Duration) -> Vec<A
         .collect()
 }
 
-fn run_trial(spec: &ChaosSpec) -> Vec<String> {
+fn run_trial(spec: &Spec<ChaosClass>) -> Vec<String> {
     let mut rng = spec.rng();
     let mut violations = Vec::new();
     match spec.class {
@@ -519,14 +492,14 @@ fn run_trial(spec: &ChaosSpec) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparten::faults::run;
 
     #[test]
     fn quick_campaign_is_deterministic_and_clean() {
-        let a = run_campaign(1, 1);
-        let b = run_campaign(1, 1);
+        let a = run(&Chaos, 1, 1);
+        let b = run(&Chaos, 1, 1);
         assert_eq!(a.render(), b.render(), "same seed, same report");
         assert_eq!(a.trials(), 5);
-        assert_eq!(a.violated(), 0, "no invariant may break:\n{}", a.render());
-        assert_eq!(a.crashed(), 0, "no trial may crash:\n{}", a.render());
+        assert_eq!(a.failures(), 0, "no invariant may break:\n{}", a.render());
     }
 }

@@ -3,8 +3,7 @@
 //! instant, and verify that the recovery path restores a state
 //! byte-identical to a clean run.
 //!
-//! One trial = one [`DiskSpec`] from `sparten::faults::disk_plan`. Each
-//! trial:
+//! One trial = one [`Spec`] from the [`DISK`] plan. Each trial:
 //!
 //! 1. runs a small deterministic workload under [`RealFs`] into a
 //!    *clean* reference tree (the oracle's ground truth);
@@ -32,60 +31,56 @@ use crate::executor::{self, RunOptions};
 use crate::fsck::{self, Action};
 use crate::journal;
 use crate::{events, Experiment, PointPayload};
-use sparten::faults::{disk_plan, DiskFaultClass, DiskOutcome, DiskReport, DiskSpec, FaultRng};
+use sparten::faults::{Campaign, DiskFaultClass, FaultRng, Spec, Taxonomy, Verdict, DISK};
 use sparten_bench::json::Json;
 use sparten_bench::vfs::{materialize_prefix, FaultConfig, FaultFs, RealFs, Vfs};
 use sparten_bench::{Capture, ExperimentKind};
 use sparten_telemetry::Telemetry;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Runs a full disk-fault campaign and returns the report. The report is
-/// a deterministic function of `(seed, trials_per_class)` as long as
-/// every invariant holds; violations append their (deterministic)
-/// messages. Campaign totals land in `telemetry` as the `disk.injected`,
-/// `disk.enospc`, and `recovery.repaired` counters.
-pub fn run_campaign(seed: u64, trials_per_class: u32, telemetry: &Telemetry) -> DiskReport {
-    let mut report = DiskReport::new(seed);
-    // Faulted runs warn loudly by design (cache writes failing under
-    // ENOSPC, journal appends failing under fsync faults); the stderr
-    // mirror is silenced around the trials so the campaign output is the
-    // report, not hundreds of expected degradation warnings.
-    events::set_mirror(false);
-    for spec in disk_plan(seed, trials_per_class) {
-        // A panicking trial is exactly the "crashed" outcome; the hook
-        // noise is suppressed around the call so expected unwinds don't
-        // spam the campaign output.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = catch_unwind(AssertUnwindSafe(|| run_trial(&spec, telemetry)));
-        std::panic::set_hook(prev);
-        match result {
-            Ok(violations) if violations.is_empty() => {
-                report.record(spec.class, spec.trial, DiskOutcome::Clean, "");
-            }
-            Ok(violations) => {
-                report.record(
-                    spec.class,
-                    spec.trial,
-                    DiskOutcome::Violated,
-                    &violations.join("; "),
-                );
-            }
-            Err(_) => {
-                report.record(
-                    spec.class,
-                    spec.trial,
-                    DiskOutcome::Crashed,
-                    "trial harness panicked",
-                );
+/// The disk-fault campaign (`harness diskchaos`). Its totals land in its
+/// own telemetry session as the `disk.injected`, `disk.enospc`, and
+/// `recovery.repaired` counters, which the report's footer prints.
+#[derive(Default)]
+pub struct DiskChaos {
+    /// The campaign's injection and repair counters.
+    telemetry: Telemetry,
+}
+
+impl Campaign for DiskChaos {
+    type Class = DiskFaultClass;
+    const TAXONOMY: &'static Taxonomy<DiskFaultClass> = &DISK;
+
+    fn run_trial(&self, spec: &Spec<DiskFaultClass>) -> Verdict {
+        // Faulted runs warn loudly by design (cache writes failing under
+        // ENOSPC, journal appends failing under fsync faults); the stderr
+        // mirror is silenced for the trial, panics included, so the
+        // campaign output is the report, not hundreds of expected
+        // degradation warnings.
+        struct Unmute;
+        impl Drop for Unmute {
+            fn drop(&mut self) {
+                events::set_mirror(true);
             }
         }
+        events::set_mirror(false);
+        let _unmute = Unmute;
+        Verdict::from_violations(run_trial(spec, &self.telemetry))
     }
-    events::set_mirror(true);
-    report
+
+    /// One greppable line: how much the campaign actually injected and
+    /// repaired. Deterministic for a given `(seed, trials)`, like the table.
+    fn footer(&self) -> Option<String> {
+        let snap = self.telemetry.metrics.snapshot();
+        Some(format!(
+            "counters: disk.injected={} disk.enospc={} recovery.repaired={}",
+            snap.counter("disk.injected").unwrap_or(0),
+            snap.counter("disk.enospc").unwrap_or(0),
+            snap.counter("recovery.repaired").unwrap_or(0)
+        ))
+    }
 }
 
 /// A deterministic synthetic experiment for disk trials. Points carry a
@@ -167,7 +162,7 @@ impl Experiment for DiskExp {
     }
 }
 
-fn exps(spec: &DiskSpec, artifact_dir: &Path) -> Vec<Arc<dyn Experiment>> {
+fn exps(spec: &Spec<DiskFaultClass>, artifact_dir: &Path) -> Vec<Arc<dyn Experiment>> {
     NAMES
         .iter()
         .map(|&name| {
@@ -248,11 +243,11 @@ fn short(path: &Path) -> String {
         .to_string()
 }
 
-fn run_trial(spec: &DiskSpec, telemetry: &Telemetry) -> Vec<String> {
+fn run_trial(spec: &Spec<DiskFaultClass>, telemetry: &Telemetry) -> Vec<String> {
     let mut rng = spec.rng();
     let mut violations = Vec::new();
     let config = config_for(spec.class, &mut rng);
-    let tag = format!("disk-{}-t{}", spec.class.label(), spec.trial);
+    let tag = format!("disk-{}-t{}", DISK.label(spec.class), spec.trial);
 
     let root = std::env::temp_dir().join(format!(
         "sparten-diskchaos-{}-{:016x}",
@@ -460,20 +455,21 @@ fn run_trial(spec: &DiskSpec, telemetry: &Telemetry) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparten::faults::run;
 
     #[test]
     fn quick_campaign_is_deterministic_and_clean() {
-        let telemetry = Telemetry::new();
-        let a = run_campaign(1, 1, &telemetry);
-        let b = run_campaign(1, 1, &telemetry);
+        let campaign = DiskChaos::default();
+        let a = run(&campaign, 1, 1);
+        let b = run(&DiskChaos::default(), 1, 1);
+        // The footer's counters are part of the deterministic report.
         assert_eq!(a.render(), b.render(), "same seed, same report");
         assert_eq!(a.trials(), 5);
-        assert_eq!(a.violated(), 0, "no invariant may break:\n{}", a.render());
-        assert_eq!(a.crashed(), 0, "no trial may crash:\n{}", a.render());
+        assert_eq!(a.failures(), 0, "no invariant may break:\n{}", a.render());
         // The campaign accounts for its injections: the counters the CI
         // smoke greps for must exist (ENOSPC necessarily fires — its
         // byte budget is far below the workload's write volume).
-        let snap = telemetry.metrics.snapshot();
+        let snap = campaign.telemetry.metrics.snapshot();
         assert!(snap.counter("disk.injected").unwrap_or(0) > 0);
         assert!(snap.counter("disk.enospc").unwrap_or(0) > 0);
         assert!(snap.counter("recovery.repaired").is_some());

@@ -1,11 +1,11 @@
 //! The fault-injection campaign: inject every planned fault, classify
 //! what the stack did about it, and tally per-class coverage.
 //!
-//! One trial = one [`FaultSpec`] from `sparten::faults::campaign_plan`.
-//! Each trial builds a small deterministic workload, injects its fault
-//! through the layer the fault targets (tensor structures, the cycle
-//! simulators, the functional engine's output collector, or a serialized
-//! cache entry on disk), and classifies the outcome:
+//! One trial = one [`Spec`] from the [`FAULTS`] plan. Each trial builds a
+//! small deterministic workload, injects its fault through the layer the
+//! fault targets (tensor structures, the cycle simulators, the functional
+//! engine's output collector, or a serialized cache entry on disk), and
+//! classifies the outcome:
 //!
 //! * **detected** — a typed error ([`TensorError`], [`SimError`]) or a
 //!   failed invariant surfaced;
@@ -18,42 +18,38 @@
 //!
 //! The whole campaign is a pure function of `(seed, trials_per_class)`:
 //! same seed, same plan, same injections, byte-identical report.
+//!
+//! [`TensorError`]: sparten::tensor::TensorError
+//! [`SimError`]: sparten::core::SimError
 
 use crate::cache::{Cache, Lookup};
 use crate::PointPayload;
 use sparten::core::balance::BalanceMode;
 use sparten::core::engine::SparTenEngine;
 use sparten::faults::{
-    campaign_plan, CoverageReport, DropSpec, FaultClass, FaultOutcome, FaultSpec, UnitFault,
-    UnitFaultSpec,
+    Campaign, DropSpec, FaultClass, Outcome, Spec, Taxonomy, UnitFault, UnitFaultSpec, Verdict,
+    FAULTS,
 };
 use sparten::nn::generate::{workload, Workload};
 use sparten::nn::ConvShape;
 use sparten::sim::sparten::{simulate_sparten, Sparsity};
 use sparten::sim::{simulate_sparten_faulted, MaskModel, SimConfig};
 use sparten::tensor::SparseTensor3;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The campaign's fixed workload seed: fault variability comes from each
 /// trial's injection-site RNG, not from workload resampling.
 const WORKLOAD_SEED: u64 = 77;
 
-/// Runs a full campaign and returns the coverage report. Deterministic:
-/// the report is a pure function of the arguments.
-pub fn run_campaign(seed: u64, trials_per_class: u32) -> CoverageReport {
-    let mut report = CoverageReport::new(seed);
-    for spec in campaign_plan(seed, trials_per_class) {
-        // A trial that panics is exactly the "crashed" outcome; the hook
-        // noise is suppressed around the call so expected aborts don't
-        // spam the campaign output.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_trial(&spec)))
-            .unwrap_or(FaultOutcome::Crashed);
-        std::panic::set_hook(prev);
-        report.record(spec.class, outcome);
+/// The fault campaign (`harness faults`).
+pub struct Faults;
+
+impl Campaign for Faults {
+    type Class = FaultClass;
+    const TAXONOMY: &'static Taxonomy<FaultClass> = &FAULTS;
+
+    fn run_trial(&self, spec: &Spec<FaultClass>) -> Verdict {
+        run_trial(spec).into()
     }
-    report
 }
 
 /// The small layer every trial runs: big enough to exercise multiple
@@ -71,7 +67,7 @@ fn trial_config() -> SimConfig {
     cfg
 }
 
-fn run_trial(spec: &FaultSpec) -> FaultOutcome {
+fn run_trial(spec: &Spec<FaultClass>) -> Outcome {
     let mut rng = spec.rng();
     match spec.class {
         FaultClass::MaskBitFlip => {
@@ -90,7 +86,7 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
             let chunk_size = trial_config().accel.cluster.chunk_size;
             let clean = SparseTensor3::from_dense(&w.input, chunk_size);
             if clean.nnz() == 0 {
-                return FaultOutcome::Masked; // nothing to corrupt
+                return Outcome::Masked; // nothing to corrupt
             }
             let mut faulty = clean.clone();
             let index = rng.gen_range(clean.nnz() as u64) as usize;
@@ -105,7 +101,7 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
             let chunk_size = trial_config().accel.cluster.chunk_size;
             let clean = SparseTensor3::from_dense(&w.input, chunk_size);
             if clean.nnz() == 0 {
-                return FaultOutcome::Masked;
+                return Outcome::Masked;
             }
             let mut faulty = clean.clone();
             let keep = rng.gen_range(clean.nnz() as u64) as usize;
@@ -131,7 +127,7 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
                 &fault,
                 None,
             ) {
-                Err(_) => FaultOutcome::Detected,
+                Err(_) => Outcome::Detected,
                 // A straggler must only stretch latency: identical work
                 // accounting and no-faster cycles prove absorption.
                 Ok(r)
@@ -140,9 +136,9 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
                         && r.compute_cycles >= clean.compute_cycles
                         && r.accounting_holds() =>
                 {
-                    FaultOutcome::Masked
+                    Outcome::Masked
                 }
-                Ok(_) => FaultOutcome::SilentlyWrong,
+                Ok(_) => Outcome::SilentlyWrong,
             }
         }
         FaultClass::StuckUnit => {
@@ -164,16 +160,16 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
                 &fault,
                 None,
             ) {
-                Err(_) => FaultOutcome::Detected,
+                Err(_) => Outcome::Detected,
                 // Only a victim that never held work can go unnoticed, and
                 // then the result must equal the clean run exactly.
                 Ok(r)
                     if r.breakdown == clean.breakdown
                         && r.compute_cycles == clean.compute_cycles =>
                 {
-                    FaultOutcome::Masked
+                    Outcome::Masked
                 }
-                Ok(_) => FaultOutcome::SilentlyWrong,
+                Ok(_) => Outcome::SilentlyWrong,
             }
         }
         FaultClass::DroppedOutput => {
@@ -195,9 +191,9 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
                 },
             );
             match faulted.verify_output_accounting(chunk_size) {
-                Err(_) => FaultOutcome::Detected,
-                Ok(()) if faulted.produced == clean.produced => FaultOutcome::Masked,
-                Ok(()) => FaultOutcome::SilentlyWrong,
+                Err(_) => Outcome::Detected,
+                Ok(()) if faulted.produced == clean.produced => Outcome::Masked,
+                Ok(()) => Outcome::SilentlyWrong,
             }
         }
         FaultClass::CacheCorruption => with_scratch_cache(spec, |cache, payload, key| {
@@ -221,23 +217,23 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
 /// Classifies a perturbed tensor against its clean twin: `validate()` is
 /// the detection point; an undetected tensor that still decodes to the
 /// clean dense image is provably absorbed.
-fn classify_tensor(clean: &SparseTensor3, faulty: &SparseTensor3) -> FaultOutcome {
+fn classify_tensor(clean: &SparseTensor3, faulty: &SparseTensor3) -> Outcome {
     if faulty.validate().is_err() {
-        return FaultOutcome::Detected;
+        return Outcome::Detected;
     }
     if faulty.to_dense() == clean.to_dense() {
-        FaultOutcome::Masked
+        Outcome::Masked
     } else {
-        FaultOutcome::SilentlyWrong
+        Outcome::SilentlyWrong
     }
 }
 
 /// Stores one deterministic entry in a scratch cache, lets the trial
 /// damage the entry file, and cleans the scratch directory afterwards.
 fn with_scratch_cache(
-    spec: &FaultSpec,
-    trial: impl FnOnce(&Cache, &PointPayload, u64) -> FaultOutcome,
-) -> FaultOutcome {
+    spec: &Spec<FaultClass>,
+    trial: impl FnOnce(&Cache, &PointPayload, u64) -> Outcome,
+) -> Outcome {
     let dir = std::env::temp_dir().join(format!(
         "sparten-fault-campaign-{}-{:016x}",
         std::process::id(),
@@ -261,33 +257,33 @@ fn with_scratch_cache(
 /// Classifies a post-damage lookup: anything the cache refuses to serve
 /// is detected; serving bytes that still equal the stored payload is
 /// absorbed; serving anything else is silent corruption.
-fn classify_cache(lookup: Lookup, original: &PointPayload) -> FaultOutcome {
+fn classify_cache(lookup: Lookup, original: &PointPayload) -> Outcome {
     match lookup {
-        Lookup::Malformed | Lookup::Miss => FaultOutcome::Detected,
-        Lookup::Hit(p) if p == *original => FaultOutcome::Masked,
-        Lookup::Hit(_) => FaultOutcome::SilentlyWrong,
+        Lookup::Malformed | Lookup::Miss => Outcome::Detected,
+        Lookup::Hit(p) if p == *original => Outcome::Masked,
+        Lookup::Hit(_) => Outcome::SilentlyWrong,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparten::faults::run;
 
     #[test]
     fn campaign_is_deterministic_and_clean() {
-        let a = run_campaign(1, 3);
-        let b = run_campaign(1, 3);
+        let a = run(&Faults, 1, 3);
+        let b = run(&Faults, 1, 3);
         assert_eq!(a.render(), b.render(), "same seed, same report");
         assert_eq!(a.trials(), 8 * 3);
-        assert_eq!(a.silently_wrong(), 0, "no fault may go silently wrong");
-        assert_eq!(a.crashed(), 0, "every fault surfaces as a typed error");
+        assert_eq!(a.total(Outcome::SilentlyWrong), 0, "no fault may go silently wrong");
+        assert_eq!(a.total(Outcome::Crashed), 0, "every fault surfaces as a typed error");
     }
 
     #[test]
     fn different_seeds_change_injection_sites_not_coverage_guarantees() {
-        let r = run_campaign(99, 2);
-        assert_eq!(r.silently_wrong(), 0);
-        assert_eq!(r.crashed(), 0);
+        let r = run(&Faults, 99, 2);
+        assert_eq!(r.failures(), 0);
         assert_eq!(r.trials(), 8 * 2);
     }
 
@@ -296,10 +292,10 @@ mod tests {
         // Mask flips and value truncation break a structural invariant by
         // construction — absorption is impossible, so the tally must be
         // 100% detected for these classes.
-        let r = run_campaign(11, 4);
+        let r = run(&Faults, 11, 4);
         for class in [FaultClass::MaskBitFlip, FaultClass::ValueTruncation] {
-            let cov = r.class(class);
-            assert_eq!(cov.detected, 4, "{}: {:?}", class.label(), cov);
+            let detected = r.count(class, Outcome::Detected);
+            assert_eq!(detected, 4, "{}", FAULTS.label(class));
         }
     }
 }

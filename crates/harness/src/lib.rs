@@ -2,9 +2,8 @@
 
 //! Parallel experiment orchestration for the SparTen reproduction.
 //!
-//! The evaluation consists of ~30 figures, tables, sweeps, and ablations
-//! that used to run as independent serial binaries. This crate replaces
-//! that with a single harness:
+//! The evaluation consists of 32 figures, tables, sweeps, and ablations,
+//! all run by one harness:
 //!
 //! * every experiment is an [`Experiment`] — a named, parameterized job
 //!   with declared dependencies and one or more independent *points*
@@ -17,12 +16,15 @@
 //!   skips every point whose key — experiment name, configuration
 //!   fingerprint, seed, point index, format version — was already
 //!   computed, so re-runs are incremental and interrupted sweeps resume;
-//! * one CLI (`cargo run -p sparten-harness -- run ...`) replaces the
-//!   serial binaries and prints a per-job wall-time/cache-hit summary.
+//! * one CLI (`cargo run -p sparten-harness -- run ...`) runs any subset
+//!   and prints a per-job wall-time/cache-hit summary.
 //!
-//! Byte-identity with the serial binaries is by construction: experiments
-//! route output through `sparten_bench`'s capturable sink and the harness
-//! drives the *same* compute and render code the binaries use.
+//! Experiments route output through `sparten_bench`'s capturable sink, so
+//! a job's output is the same bytes whether its points were computed or
+//! replayed from the cache; a full run reproduces every committed
+//! `results/*.txt` and `results/*.json`. The CLI also hosts the seeded
+//! campaigns, whose trial bodies live in [`faults`], [`chaos`], and
+//! [`diskchaos`] (the framework is `sparten_faults::Campaign`).
 
 pub mod cache;
 pub mod chaos;
@@ -60,7 +62,7 @@ pub enum PointPayload {
 /// must produce bit-identical payloads on every run, which is what makes
 /// the content-addressed cache sound.
 pub trait Experiment: Send + Sync {
-    /// Unique name (matches the serial binary and `results/` basename).
+    /// Unique name (the `results/` basename of its output).
     fn name(&self) -> &'static str;
 
     /// Artifact kind (figure, table, sweep, ...).

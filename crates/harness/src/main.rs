@@ -8,50 +8,145 @@
 //! cargo run --release -p sparten-harness -- clean
 //! ```
 
+use sparten::faults::Campaign;
 use sparten_bench::json::Json;
 use sparten_harness::cache::Cache;
+use sparten_harness::chaos::Chaos;
+use sparten_harness::diskchaos::DiskChaos;
 use sparten_harness::executor::{self, RunOptions};
-use sparten_harness::{chaos, diskchaos, events, faults, fsck, journal, registry, signal};
+use sparten_harness::faults::Faults;
+use sparten_harness::{events, fsck, journal, registry, signal};
 use sparten_telemetry::TraceContext;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "\
-sparten-harness — parallel experiment orchestration with result caching
+/// One subcommand's synopsis: the single source for the top-level usage,
+/// the usage printed on an unknown option, and the options the command
+/// accepts (every `--flag` its synopsis names).
+struct CommandSpec {
+    name: &'static str,
+    /// Option groups, one synopsis line each.
+    synopsis: &'static [&'static str],
+}
 
-USAGE:
-    sparten-harness run [--filter SUBSTR] [--jobs N] [--force] [--strict]
-                        [--retries N] [--point-timeout SECS]
-                        [--cache-dir PATH] [--no-artifacts]
-                        [--telemetry] [--telemetry-dir PATH]
-                        [--resume [RUN_ID]] [--journal-dir PATH]
-                        [--drain-timeout SECS] [--abort-after N]
-                        [--events-dir PATH]
-    sparten-harness dse [--quick] [--jobs N] [--force] [--strict]
-                        [--retries N] [--point-timeout SECS]
-                        [--cache-dir PATH] [--no-artifacts]
-                        [--resume [RUN_ID]] [--journal-dir PATH]
-                        [--drain-timeout SECS] [--abort-after N]
-                        [--events-dir PATH]
-    sparten-harness bench [--quick] [--filter SUBSTR] [--threshold X]
-                          [--out PATH] [--check-schema] [--enforce]
-    sparten-harness faults [--seed N] [--trials N] [--quick] [--report PATH]
-    sparten-harness chaos [--seed N] [--trials N] [--quick]
-    sparten-harness diskchaos [--seed N] [--trials N] [--quick]
-    sparten-harness fsck [--repair] [--results-dir PATH]
-    sparten-harness list [--filter SUBSTR]
-    sparten-harness report [--filter SUBSTR] [--telemetry-dir PATH] [--json]
-    sparten-harness events [--events-dir PATH] [--run RUN_ID] [--level L]
-                           [--trace HEX] [--follow]
-    sparten-harness promlint [--file PATH]
-    sparten-harness serve [--addr HOST:PORT] [--port-file PATH] [--jobs N]
-                          [--max-active N] [--max-queue N] [--cache-dir PATH]
-                          [--journal-dir PATH] [--no-artifacts]
-                          [--drain-timeout SECS] [--events-dir PATH]
-    sparten-harness clean [--results-dir PATH] [--cache-dir PATH]
-                          [--journal-dir PATH]
+/// Every subcommand, in help order.
+const COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        name: "run",
+        synopsis: &[
+            "[--filter SUBSTR] [--jobs N] [--force] [--strict]",
+            "[--retries N] [--point-timeout SECS]",
+            "[--cache-dir PATH] [--no-artifacts]",
+            "[--telemetry] [--telemetry-dir PATH]",
+            "[--resume [RUN_ID]] [--journal-dir PATH]",
+            "[--drain-timeout SECS] [--abort-after N]",
+            "[--events-dir PATH]",
+        ],
+    },
+    CommandSpec {
+        name: "dse",
+        synopsis: &[
+            "[--quick] [--jobs N] [--force] [--strict]",
+            "[--retries N] [--point-timeout SECS]",
+            "[--cache-dir PATH] [--no-artifacts]",
+            "[--resume [RUN_ID]] [--journal-dir PATH]",
+            "[--drain-timeout SECS] [--abort-after N]",
+            "[--events-dir PATH]",
+        ],
+    },
+    CommandSpec {
+        name: "bench",
+        synopsis: &[
+            "[--quick] [--filter SUBSTR] [--threshold X]",
+            "[--out PATH] [--check-schema] [--enforce]",
+            "[--deadline-ms N] [--retries N]",
+        ],
+    },
+    CommandSpec {
+        name: "faults",
+        synopsis: &["[--seed N] [--trials N] [--quick]"],
+    },
+    CommandSpec {
+        name: "chaos",
+        synopsis: &["[--seed N] [--trials N] [--quick]"],
+    },
+    CommandSpec {
+        name: "diskchaos",
+        synopsis: &["[--seed N] [--trials N] [--quick]"],
+    },
+    CommandSpec {
+        name: "fsck",
+        synopsis: &["[--repair] [--results-dir PATH]"],
+    },
+    CommandSpec {
+        name: "list",
+        synopsis: &["[--filter SUBSTR]"],
+    },
+    CommandSpec {
+        name: "report",
+        synopsis: &["[--filter SUBSTR] [--telemetry-dir PATH] [--json]"],
+    },
+    CommandSpec {
+        name: "events",
+        synopsis: &[
+            "[--events-dir PATH] [--run RUN_ID] [--level L]",
+            "[--trace HEX] [--follow]",
+        ],
+    },
+    CommandSpec {
+        name: "promlint",
+        synopsis: &["[--file PATH]"],
+    },
+    CommandSpec {
+        name: "serve",
+        synopsis: &[
+            "[--addr HOST:PORT] [--port-file PATH] [--jobs N]",
+            "[--max-active N] [--max-queue N] [--cache-dir PATH]",
+            "[--journal-dir PATH] [--no-artifacts]",
+            "[--drain-timeout SECS] [--deadline-ms N]",
+            "[--events-dir PATH]",
+        ],
+    },
+    CommandSpec {
+        name: "clean",
+        synopsis: &[
+            "[--results-dir PATH] [--cache-dir PATH]",
+            "[--journal-dir PATH]",
+        ],
+    },
+];
 
+impl CommandSpec {
+    /// `sparten-harness NAME ...`, for printing after a 4-space indent:
+    /// continuation lines align under the first option group.
+    fn synopsis(&self) -> String {
+        let head = format!("sparten-harness {} ", self.name);
+        let indent = format!("\n{}", " ".repeat(4 + head.len()));
+        head + &self.synopsis.join(&indent)
+    }
+
+    /// The options this command accepts.
+    fn flags(&self) -> impl Iterator<Item = &'static str> {
+        self.synopsis
+            .iter()
+            .flat_map(|line| line.split([' ', '[', ']']))
+            .filter(|token| token.starts_with("--"))
+    }
+}
+
+/// The top-level help: every synopsis, then the commands and options.
+fn usage() -> String {
+    let mut text = String::from(
+        "sparten-harness — parallel experiment orchestration with result caching\n\nUSAGE:\n",
+    );
+    for spec in COMMANDS {
+        text += &format!("    {}\n", spec.synopsis());
+    }
+    text + HELP
+}
+
+const HELP: &str = "
 COMMANDS:
     run      Run experiments (all, or those whose name contains --filter),
              skipping points already in the cache, then print a per-job
@@ -146,12 +241,13 @@ COMMANDS:
 
 OPTIONS:
     --filter SUBSTR       Only experiments whose name contains SUBSTR.
-    --jobs N              Worker threads (default: available parallelism).
+    --jobs N, -j N        Worker threads (default: available parallelism).
     --force               Recompute every point, overwriting cache entries.
     --strict              Exit non-zero when any point was quarantined
                           (default: a degraded run still exits zero so one
                           bad point cannot fail a whole sweep).
-    --retries N           Attempts per point before quarantine (default 2).
+    --retries N           Attempts per point before quarantine (default 2);
+                          bench: attempts per serve round trip (default 1).
     --point-timeout SECS  Watchdog deadline per point; a point exceeding it
                           counts as a failed attempt and its worker is
                           replaced (default: no deadline).
@@ -173,18 +269,24 @@ OPTIONS:
     --drain-timeout SECS  How long a signal-initiated drain waits for
                           in-flight points before abandoning them
                           (default 30).
+    --deadline-ms N       serve: default per-request budget; a request may
+                          send its own Deadline-Ms, clamped to the server
+                          max (default 120000). bench: deadline of each
+                          serve round trip (default: none).
     --abort-after N       Crash-test hook: die (journal left dangling, like
                           kill -9) after N points have been computed and
                           journaled. Used by the interrupted-run CI smoke.
     --repair              fsck: quarantine damaged files instead of only
                           reporting them.
     --results-dir PATH    Results tree root (default: results).
-    --report PATH         faults: also write the coverage table to PATH.
     --seed N              Campaign seed (default 1): same seed, same plan,
-                          byte-identical coverage report.
-    --trials N            Trials per fault class (default 6).
-    --quick               faults: shorthand for --trials 3; bench: ~5 ms
-                          measurement budget per benchmark (CI smoke).
+                          byte-identical report.
+    --trials N            Trials per class (default: faults 6, chaos and
+                          diskchaos 3).
+    --quick               dse: the 16 200-configuration grid; faults: 3
+                          trials per class, chaos and diskchaos: 1 (the CI
+                          smokes); bench: ~5 ms measurement budget per
+                          benchmark.
     --threshold X         bench: regression threshold as a new/old time
                           ratio (default 1.5).
     --out PATH            bench: artifact path (default BENCH_sim.json).
@@ -222,171 +324,52 @@ OPTIONS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    match command.as_str() {
-        "run" => cmd_run(&args[1..]),
-        "dse" => cmd_dse(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        "faults" => cmd_faults(&args[1..]),
-        "chaos" => cmd_chaos(&args[1..]),
-        "diskchaos" => cmd_diskchaos(&args[1..]),
-        "fsck" => cmd_fsck(&args[1..]),
-        "list" => cmd_list(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "events" => cmd_events(&args[1..]),
-        "promlint" => cmd_promlint(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "clean" => cmd_clean(&args[1..]),
-        "--help" | "-h" | "help" => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        other => {
-            events::error("cli.unknown_command", format!("unknown command `{other}`"));
-            events::raw_stderr("\n");
-            eprint!("{USAGE}");
-            ExitCode::FAILURE
-        }
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
     }
-}
-
-/// Which options each subcommand accepts, plus its one-line synopsis —
-/// the source of truth for rejecting an inapplicable flag (previously
-/// `list --force` was parsed and silently ignored).
-struct CommandSpec {
-    usage: &'static str,
-    allowed: &'static [&'static str],
-}
-
-fn command_spec(cmd: &str) -> CommandSpec {
-    match cmd {
-        "run" => CommandSpec {
-            usage: "sparten-harness run [--filter SUBSTR] [--jobs N] [--force] [--strict]\n\
-                    \x20                   [--retries N] [--point-timeout SECS]\n\
-                    \x20                   [--cache-dir PATH] [--no-artifacts]\n\
-                    \x20                   [--telemetry] [--telemetry-dir PATH]\n\
-                    \x20                   [--resume [RUN_ID]] [--journal-dir PATH]\n\
-                    \x20                   [--drain-timeout SECS] [--abort-after N]\n\
-                    \x20                   [--events-dir PATH]",
-            allowed: &[
-                "--filter",
-                "--jobs",
-                "-j",
-                "--force",
-                "--strict",
-                "--retries",
-                "--point-timeout",
-                "--cache-dir",
-                "--no-artifacts",
-                "--telemetry",
-                "--telemetry-dir",
-                "--resume",
-                "--journal-dir",
-                "--drain-timeout",
-                "--abort-after",
-                "--events-dir",
-            ],
-        },
-        "dse" => CommandSpec {
-            usage: "sparten-harness dse [--quick] [--jobs N] [--force] [--strict]\n\
-                    \x20                   [--retries N] [--point-timeout SECS]\n\
-                    \x20                   [--cache-dir PATH] [--no-artifacts]\n\
-                    \x20                   [--resume [RUN_ID]] [--journal-dir PATH]\n\
-                    \x20                   [--drain-timeout SECS] [--abort-after N]\n\
-                    \x20                   [--events-dir PATH]",
-            allowed: &[
-                "--quick",
-                "--jobs",
-                "-j",
-                "--force",
-                "--strict",
-                "--retries",
-                "--point-timeout",
-                "--cache-dir",
-                "--no-artifacts",
-                "--resume",
-                "--journal-dir",
-                "--drain-timeout",
-                "--abort-after",
-                "--events-dir",
-            ],
-        },
-        "bench" => CommandSpec {
-            usage: "sparten-harness bench [--quick] [--filter SUBSTR] [--threshold X]\n\
-                    \x20                     [--out PATH] [--check-schema] [--enforce]\n\
-                    \x20                     [--deadline-ms N] [--retries N]",
-            allowed: &[
-                "--quick",
-                "--filter",
-                "--threshold",
-                "--out",
-                "--check-schema",
-                "--enforce",
-                "--deadline-ms",
-                "--retries",
-            ],
-        },
-        "faults" => CommandSpec {
-            usage: "sparten-harness faults [--seed N] [--trials N] [--quick] [--report PATH]",
-            allowed: &["--seed", "--trials", "--quick", "--report"],
-        },
-        "chaos" => CommandSpec {
-            usage: "sparten-harness chaos [--seed N] [--trials N] [--quick]",
-            allowed: &["--seed", "--trials", "--quick"],
-        },
-        "diskchaos" => CommandSpec {
-            usage: "sparten-harness diskchaos [--seed N] [--trials N] [--quick]",
-            allowed: &["--seed", "--trials", "--quick"],
-        },
-        "fsck" => CommandSpec {
-            usage: "sparten-harness fsck [--repair] [--results-dir PATH]",
-            allowed: &["--repair", "--results-dir"],
-        },
-        "list" => CommandSpec {
-            usage: "sparten-harness list [--filter SUBSTR]",
-            allowed: &["--filter"],
-        },
-        "report" => CommandSpec {
-            usage: "sparten-harness report [--filter SUBSTR] [--telemetry-dir PATH] [--json]",
-            allowed: &["--filter", "--telemetry-dir", "--json"],
-        },
-        "events" => CommandSpec {
-            usage: "sparten-harness events [--events-dir PATH] [--run RUN_ID] [--level L]\n\
-                    \x20                      [--trace HEX] [--follow]",
-            allowed: &["--events-dir", "--run", "--level", "--trace", "--follow"],
-        },
-        "promlint" => CommandSpec {
-            usage: "sparten-harness promlint [--file PATH]",
-            allowed: &["--file"],
-        },
-        "serve" => CommandSpec {
-            usage: "sparten-harness serve [--addr HOST:PORT] [--port-file PATH] [--jobs N]\n\
-                    \x20                     [--max-active N] [--max-queue N] [--cache-dir PATH]\n\
-                    \x20                     [--journal-dir PATH] [--no-artifacts]\n\
-                    \x20                     [--drain-timeout SECS] [--deadline-ms N]",
-            allowed: &[
-                "--addr",
-                "--port-file",
-                "--jobs",
-                "-j",
-                "--max-active",
-                "--max-queue",
-                "--cache-dir",
-                "--journal-dir",
-                "--no-artifacts",
-                "--drain-timeout",
-                "--deadline-ms",
-                "--events-dir",
-            ],
-        },
-        "clean" => CommandSpec {
-            usage: "sparten-harness clean [--results-dir PATH] [--cache-dir PATH]\n\
-                    \x20                     [--journal-dir PATH]",
-            allowed: &["--results-dir", "--cache-dir", "--journal-dir"],
-        },
-        _ => unreachable!("command_spec called for unrouted command `{cmd}`"),
+    let Some(spec) = COMMANDS.iter().find(|c| c.name == command) else {
+        events::error(
+            "cli.unknown_command",
+            format!("unknown command `{command}`"),
+        );
+        events::raw_stderr("\n");
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(spec, &args[1..]) {
+        Ok(flags) => flags,
+        Err(FlagsError::Unknown(flag)) => {
+            events::error(
+                "cli.unknown_option",
+                format!("unknown option `{flag}` for `sparten-harness {command}`"),
+            );
+            events::raw_stderr(&format!("\nUSAGE:\n    {}\n", spec.synopsis()));
+            return ExitCode::from(2);
+        }
+        Err(FlagsError::Invalid(message)) => {
+            events::error("cli.invalid_flag", message);
+            return ExitCode::FAILURE;
+        }
+    };
+    match spec.name {
+        "run" => drive_executor(&registry(), flags),
+        "dse" => cmd_dse(flags),
+        "bench" => cmd_bench(flags),
+        "faults" => cmd_campaign(&Faults, flags),
+        "chaos" => cmd_campaign(&Chaos, flags),
+        "diskchaos" => cmd_campaign(&DiskChaos::default(), flags),
+        "fsck" => cmd_fsck(flags),
+        "list" => cmd_list(flags),
+        "report" => cmd_report(flags),
+        "events" => cmd_events(flags),
+        "promlint" => cmd_promlint(flags),
+        "serve" => cmd_serve(flags),
+        "clean" => cmd_clean(flags),
+        other => unreachable!("command `{other}` has a spec but no handler"),
     }
 }
 
@@ -411,29 +394,8 @@ impl From<&'static str> for FlagsError {
     }
 }
 
-/// Parses `cmd`'s flags or prints the right diagnostic: unknown options
-/// name the flag and the subcommand usage and exit 2; malformed values
-/// keep the historical exit 1.
-fn parse_cmd_flags(cmd: &str, args: &[String]) -> Result<Flags, ExitCode> {
-    let spec = command_spec(cmd);
-    match parse_flags(args, spec.allowed) {
-        Ok(flags) => Ok(flags),
-        Err(FlagsError::Unknown(flag)) => {
-            events::error(
-                "cli.unknown_option",
-                format!("unknown option `{flag}` for `sparten-harness {cmd}`"),
-            );
-            events::raw_stderr(&format!("\nUSAGE:\n    {}\n", spec.usage));
-            Err(ExitCode::from(2))
-        }
-        Err(FlagsError::Invalid(message)) => {
-            events::error("cli.invalid_flag", message);
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
 /// Parses `--flag value` / bare-flag options shared by the subcommands.
+#[derive(Default)]
 struct Flags {
     filter: Option<String>,
     jobs: Option<usize>,
@@ -456,7 +418,6 @@ struct Flags {
     abort_after: Option<usize>,
     repair: bool,
     results_dir: Option<String>,
-    report_path: Option<String>,
     threshold: Option<f64>,
     out_path: Option<String>,
     check_schema: bool,
@@ -475,55 +436,20 @@ struct Flags {
     deadline_ms: Option<u64>,
 }
 
-fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, FlagsError> {
-    let mut f = Flags {
-        filter: None,
-        jobs: None,
-        force: false,
-        strict: false,
-        retries: None,
-        point_timeout: None,
-        cache_dir: None,
-        no_artifacts: false,
-        telemetry: false,
-        telemetry_dir: None,
-        seed: None,
-        trials: None,
-        quick: false,
-        resume: None,
-        journal_dir: None,
-        drain_timeout: None,
-        abort_after: None,
-        repair: false,
-        results_dir: None,
-        report_path: None,
-        threshold: None,
-        out_path: None,
-        check_schema: false,
-        enforce: false,
-        addr: None,
-        port_file: None,
-        max_active: None,
-        max_queue: None,
-        events_dir: None,
-        run_id: None,
-        level: None,
-        trace: None,
-        follow: false,
-        json: false,
-        file_path: None,
-        deadline_ms: None,
-    };
+/// Parses `args` against the options `spec` accepts (`-j` is `--jobs`).
+fn parse_flags(spec: &CommandSpec, args: &[String]) -> Result<Flags, FlagsError> {
+    let mut f = Flags::default();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
-        if !allowed.contains(&arg.as_str()) {
+        let flag = if arg == "-j" { "--jobs" } else { arg.as_str() };
+        if !spec.flags().any(|accepted| accepted == flag) {
             return Err(FlagsError::Unknown(arg.clone()));
         }
-        match arg.as_str() {
+        match flag {
             "--filter" => {
                 f.filter = Some(it.next().ok_or("--filter needs a value")?.clone());
             }
-            "--jobs" | "-j" => {
+            "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
                 let n: usize = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
                 if n == 0 {
@@ -656,13 +582,6 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, FlagsError> {
                 }
                 f.results_dir = Some(v.clone());
             }
-            "--report" => {
-                let v = it.next().ok_or("--report needs a value")?;
-                if v.is_empty() {
-                    return Err("--report must not be empty".into());
-                }
-                f.report_path = Some(v.clone());
-            }
             "--addr" => {
                 let v = it.next().ok_or("--addr needs a value")?;
                 if v.is_empty() {
@@ -741,15 +660,20 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, FlagsError> {
     Ok(f)
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("run", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+/// The shared body of `run` and `dse`: build the executor options from
+/// the flags, resolve `--resume`, open the event log, install cooperative
+/// signal handling, run `jobs`, and print the per-job summary. `--strict`
+/// gates the exit code on quarantined points.
+fn drive_executor(
+    jobs: &[std::sync::Arc<dyn sparten_harness::Experiment>],
+    flags: Flags,
+) -> ExitCode {
     let mut opts = RunOptions {
         filter: flags.filter,
         force: flags.force,
         write_artifacts: !flags.no_artifacts,
+        point_timeout: flags.point_timeout,
+        abort_after: flags.abort_after,
         ..RunOptions::default()
     };
     if let Some(j) = flags.jobs {
@@ -758,7 +682,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if let Some(n) = flags.retries {
         opts.max_attempts = n;
     }
-    opts.point_timeout = flags.point_timeout;
     if let Some(d) = flags.cache_dir {
         opts.cache_dir = d.into();
     }
@@ -776,63 +699,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if let Some(t) = flags.drain_timeout {
         opts.drain_timeout = t;
     }
-    opts.abort_after = flags.abort_after;
-    drive_executor(opts, &registry(), flags.resume, flags.events_dir, flags.strict)
-}
 
-/// `dse`: the analytical-model design-space sweep, driven through the same
-/// executor/cache/journal stack as `run` — only the job registry differs
-/// (one sweep experiment instead of the paper figures).
-fn cmd_dse(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("dse", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let experiment: std::sync::Arc<dyn sparten_harness::Experiment> = if flags.quick {
-        std::sync::Arc::new(sparten_harness::dse::DseExperiment::quick())
-    } else {
-        std::sync::Arc::new(sparten_harness::dse::DseExperiment::full())
-    };
-    let jobs = vec![experiment];
-    let mut opts = RunOptions {
-        force: flags.force,
-        write_artifacts: !flags.no_artifacts,
-        ..RunOptions::default()
-    };
-    if let Some(j) = flags.jobs {
-        opts.jobs = j;
-    }
-    if let Some(n) = flags.retries {
-        opts.max_attempts = n;
-    }
-    opts.point_timeout = flags.point_timeout;
-    if let Some(d) = flags.cache_dir {
-        opts.cache_dir = d.into();
-    }
-    if let Some(d) = flags.journal_dir {
-        opts.journal_dir = Some(d.into());
-    }
-    if let Some(t) = flags.drain_timeout {
-        opts.drain_timeout = t;
-    }
-    opts.abort_after = flags.abort_after;
-    drive_executor(opts, &jobs, flags.resume, flags.events_dir, flags.strict)
-}
-
-/// The shared executor-driving tail of `run` and `dse`: resolve
-/// `--resume`, open the event log, install cooperative signal handling,
-/// run the jobs, and print the per-job summary. `strict` gates the exit
-/// code on quarantined points.
-fn drive_executor(
-    mut opts: RunOptions,
-    jobs: &[std::sync::Arc<dyn sparten_harness::Experiment>],
-    resume_flag: Option<Option<String>>,
-    events_dir_flag: Option<String>,
-    strict: bool,
-) -> ExitCode {
     // Resolve `--resume [RUN_ID]` to a journal path up front so a typo'd
     // run id fails with a one-line diagnostic, not mid-run.
-    if let Some(resume) = resume_flag {
+    if let Some(resume) = flags.resume {
         let dir = opts
             .journal_dir
             .clone()
@@ -890,7 +760,7 @@ fn drive_executor(
         }
     };
     opts.trace = Some(TraceContext::root());
-    let events_dir = PathBuf::from(events_dir_flag.unwrap_or_else(|| "results/events".into()));
+    let events_dir = PathBuf::from(flags.events_dir.unwrap_or_else(|| "results/events".into()));
     if let Err(e) = events::init_run(&events_dir, &run_id) {
         // A broken event log never blocks the run itself.
         events::warn(
@@ -1006,110 +876,50 @@ fn drive_executor(
     // Graceful degradation: a run with quarantined points still completed
     // and wrote every healthy result, so it exits zero unless the caller
     // opted into --strict.
-    if report.all_ok() || !strict {
+    if report.all_ok() || !flags.strict {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-/// Runs the seeded fault-injection campaign and prints the coverage table.
-fn cmd_faults(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("faults", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let seed = flags.seed.unwrap_or(1);
-    let trials = flags.trials.unwrap_or(if flags.quick { 3 } else { 6 });
-    let report = faults::run_campaign(seed, trials);
-    let rendered = report.render();
-    print!("{rendered}");
-    if let Some(path) = &flags.report_path {
-        if let Err(e) = sparten_bench::atomic_write(path, &rendered) {
-            events::error(
-                "faults.report_write_failed",
-                format!("cannot write coverage report to {path}: {e}"),
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("coverage report written to {path}");
-    }
-    if report.silently_wrong() == 0 && report.crashed() == 0 {
-        ExitCode::SUCCESS
+/// `dse`: the analytical-model design-space sweep, driven through the same
+/// executor/cache/journal stack as `run` — only the job registry differs
+/// (one sweep experiment instead of the paper figures).
+fn cmd_dse(flags: Flags) -> ExitCode {
+    let experiment: std::sync::Arc<dyn sparten_harness::Experiment> = if flags.quick {
+        std::sync::Arc::new(sparten_harness::dse::DseExperiment::quick())
     } else {
-        events::error(
-            "faults.undetected",
-            format!(
-                "{} silently-wrong and {} crashed trials — the stack let a fault through",
-                report.silently_wrong(),
-                report.crashed()
-            ),
-        );
-        ExitCode::FAILURE
-    }
+        std::sync::Arc::new(sparten_harness::dse::DseExperiment::full())
+    };
+    drive_executor(&[experiment], flags)
 }
 
-/// Runs the seeded chaos campaign against per-trial serve daemons and
-/// prints the invariant table.
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("chaos", args) {
-        Ok(f) => f,
-        Err(code) => return code,
+/// Runs one seeded campaign (`faults`, `chaos`, `diskchaos`), prints its
+/// report, and exits non-zero if any trial failed.
+fn cmd_campaign<C: Campaign>(campaign: &C, flags: Flags) -> ExitCode {
+    let taxonomy = C::TAXONOMY;
+    let default_trials = if flags.quick {
+        taxonomy.quick_trials
+    } else {
+        taxonomy.trials
     };
     let seed = flags.seed.unwrap_or(1);
-    let trials = flags.trials.unwrap_or(if flags.quick { 1 } else { 3 });
-    let report = chaos::run_campaign(seed, trials);
+    let report = sparten::faults::run(campaign, seed, flags.trials.unwrap_or(default_trials));
     print!("{}", report.render());
-    if report.violated() == 0 && report.crashed() == 0 {
-        ExitCode::SUCCESS
-    } else {
-        events::error(
-            "chaos.invariant_violated",
-            format!(
-                "{} violated and {} crashed trials — the service broke an invariant under chaos",
-                report.violated(),
-                report.crashed()
-            ),
-        );
-        ExitCode::FAILURE
+    if report.failures() == 0 {
+        return ExitCode::SUCCESS;
     }
-}
-
-/// Runs the seeded disk-fault campaign (fault-injecting VFS + power-cut
-/// oracle) and prints the invariant table plus the injection counters.
-fn cmd_diskchaos(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("diskchaos", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let seed = flags.seed.unwrap_or(1);
-    let trials = flags.trials.unwrap_or(if flags.quick { 1 } else { 3 });
-    let telemetry = sparten_telemetry::Telemetry::new();
-    let report = diskchaos::run_campaign(seed, trials, &telemetry);
-    print!("{}", report.render());
-    // One greppable counters line: how much the campaign actually injected
-    // and repaired. Deterministic for a given (seed, trials), like the
-    // table above it.
-    let snap = telemetry.metrics.snapshot();
-    println!(
-        "counters: disk.injected={} disk.enospc={} recovery.repaired={}",
-        snap.counter("disk.injected").unwrap_or(0),
-        snap.counter("disk.enospc").unwrap_or(0),
-        snap.counter("recovery.repaired").unwrap_or(0)
+    events::error(
+        "campaign.failed",
+        format!(
+            "{} (seed {seed}): {} of {} trials failed",
+            taxonomy.title,
+            report.failures(),
+            report.trials()
+        ),
     );
-    if report.violated() == 0 && report.crashed() == 0 {
-        ExitCode::SUCCESS
-    } else {
-        events::error(
-            "diskchaos.invariant_violated",
-            format!(
-                "{} violated and {} crashed trials — recovery broke an invariant under disk faults",
-                report.violated(),
-                report.crashed()
-            ),
-        );
-        ExitCode::FAILURE
-    }
+    ExitCode::FAILURE
 }
 
 /// One-point synthetic experiment for the serve cache-hit benchmark: its
@@ -1166,11 +976,7 @@ impl sparten_harness::Experiment for ServeProbe {
 /// depend back on this crate) is injected here as an [`ExtraBench`]: a
 /// throwaway cache directory is seeded with one stored point, and the
 /// benchmark times the hit path (`lookup` + `load`) against it.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("bench", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_bench(flags: Flags) -> ExitCode {
     let opts = sparten_bench::BenchOptions {
         quick: flags.quick,
         filter: flags.filter.clone(),
@@ -1382,11 +1188,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 }
 
 /// Audits (and with `--repair`, quarantines damage in) the results tree.
-fn cmd_fsck(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("fsck", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_fsck(flags: Flags) -> ExitCode {
     let root = PathBuf::from(flags.results_dir.unwrap_or_else(|| "results".into()));
     let jobs = registry();
     let names: Vec<&str> = jobs.iter().map(|j| j.name()).collect();
@@ -1430,11 +1232,7 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
 /// per job, the retained/dropped event counts, then per recorded scope the
 /// Figure 10–12 cycle decomposition (work/stall counter totals) and the
 /// single largest stall cause.
-fn cmd_report(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("report", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_report(flags: Flags) -> ExitCode {
     let dir = flags
         .telemetry_dir
         .unwrap_or_else(|| "results/telemetry".into());
@@ -1666,11 +1464,7 @@ fn report_json(paths: &[PathBuf]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_list(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("list", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_list(flags: Flags) -> ExitCode {
     println!(
         "{:<28} {:<10} {:>6}  deps",
         "experiment", "kind", "points"
@@ -1707,11 +1501,7 @@ fn cmd_list(args: &[String]) -> ExitCode {
 /// created at bind and sealed on a clean drain, so a `kill -9`'d daemon
 /// leaves a dangling journal for `fsck` to flag — the same crash-only
 /// contract as `run`.
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("serve", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_serve(flags: Flags) -> ExitCode {
     let cache_dir = PathBuf::from(flags.cache_dir.unwrap_or_else(|| "results/cache".into()));
     let journal_dir =
         PathBuf::from(flags.journal_dir.unwrap_or_else(|| "results/journal".into()));
@@ -1896,11 +1686,7 @@ fn sweep_files(dir: &Path, pred: impl Fn(&str) -> bool) -> std::io::Result<usize
     Ok(removed)
 }
 
-fn cmd_clean(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("clean", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_clean(flags: Flags) -> ExitCode {
     let results = PathBuf::from(flags.results_dir.unwrap_or_else(|| "results".into()));
     let cache_dir = flags
         .cache_dir
@@ -1973,11 +1759,7 @@ fn cmd_clean(args: &[String]) -> ExitCode {
 
 /// Reads a structured event log (JSONL) written by `run` or `serve`,
 /// filtering by severity and trace id; `--follow` tails the file.
-fn cmd_events(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("events", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_events(flags: Flags) -> ExitCode {
     let dir = PathBuf::from(flags.events_dir.unwrap_or_else(|| "results/events".into()));
     let path = match &flags.run_id {
         Some(id) => {
@@ -2094,11 +1876,7 @@ fn cmd_events(args: &[String]) -> ExitCode {
 
 /// Validates Prometheus text exposition from stdin or `--file`: the check
 /// the CI smoke pipes `GET /metrics` through.
-fn cmd_promlint(args: &[String]) -> ExitCode {
-    let flags = match parse_cmd_flags("promlint", args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
+fn cmd_promlint(flags: Flags) -> ExitCode {
     let (text, source) = match &flags.file_path {
         Some(p) => match std::fs::read_to_string(p) {
             Ok(t) => (t, p.clone()),
@@ -2129,5 +1907,49 @@ fn cmd_promlint(args: &[String]) -> ExitCode {
             events::error("promlint.invalid", format!("{source}: {e}"));
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every option a command accepts is in its synopsis, has a parser
+    /// arm, and has an OPTIONS entry — so `--help`, the unknown-option
+    /// usage, and the parser cannot drift apart again.
+    #[test]
+    fn every_accepted_flag_is_in_the_synopsis_parser_and_options() {
+        let help = usage();
+        let options = &help[help.find("\nOPTIONS:\n").expect("OPTIONS section")..];
+        for spec in COMMANDS {
+            assert!(help.contains(&spec.synopsis()), "{} synopsis", spec.name);
+            for flag in spec.flags() {
+                let args = [flag.to_string()];
+                assert!(
+                    !matches!(parse_flags(spec, &args), Err(FlagsError::Unknown(_))),
+                    "`{} {flag}` has no parser arm",
+                    spec.name
+                );
+                let documented = options.lines().any(|line| {
+                    line.strip_prefix("    ")
+                        .and_then(|l| l.strip_prefix(flag))
+                        .is_some_and(|rest| rest.starts_with(' '))
+                });
+                assert!(documented, "`{flag}` ({}) has no OPTIONS entry", spec.name);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_per_command() {
+        let list = COMMANDS.iter().find(|c| c.name == "list").unwrap();
+        let args = ["--force".to_string()];
+        assert!(matches!(parse_flags(list, &args), Err(FlagsError::Unknown(f)) if f == "--force"));
+        let run = COMMANDS.iter().find(|c| c.name == "run").unwrap();
+        let args = ["-j".to_string(), "3".to_string()];
+        assert!(matches!(
+            parse_flags(run, &args),
+            Ok(Flags { jobs: Some(3), .. })
+        ));
     }
 }

@@ -529,17 +529,41 @@ fn cache_lookups_are_classified_in_the_run_report() {
 
 #[test]
 fn real_registry_experiment_is_cacheable_and_stable() {
-    // The cheapest real experiment end-to-end: cold vs warm byte-identity.
+    // The cheap whole jobs end to end: each one's output is its committed
+    // golden, and a warm rerun replays it byte for byte from the cache.
+    // Jobs are picked by exact name (`--filter` matches substrings).
+    const JOBS: [&str; 8] = [
+        "table1_design_goals",
+        "table2_hw_params",
+        "table4_asic",
+        "hpc_crossover",
+        "validate",
+        "accuracy_proxy",
+        "ablation_bisection",
+        "fig14_gb_impact",
+    ];
+    let jobs: Vec<Arc<dyn Experiment>> = registry()
+        .into_iter()
+        .filter(|e| JOBS.contains(&e.name()))
+        .collect();
+    assert_eq!(jobs.len(), JOBS.len());
     let dir = fresh_dir("real");
-    let mut o = opts(dir.clone(), 2);
-    o.filter = Some("table2_hw_params".into());
-    let cold = run(&registry(), &o);
-    assert_eq!(cold.jobs.len(), 1);
+    let o = opts(dir.clone(), 2);
+    let cold = run(&jobs, &o);
     assert!(cold.all_ok());
     assert_eq!(cold.total_hits(), 0);
-    let warm = run(&registry(), &o);
-    assert_eq!(warm.total_hits(), 1);
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for job in &cold.jobs {
+        let golden = std::fs::read_to_string(results.join(format!("{}.txt", job.name)))
+            .expect("committed golden");
+        assert_eq!(
+            job.output, golden,
+            "{} differs from results/{0}.txt",
+            job.name
+        );
+    }
+    let warm = run(&jobs, &o);
+    assert_eq!(warm.total_hits(), JOBS.len());
     assert_eq!(outputs(&cold), outputs(&warm));
-    assert!(cold.jobs[0].output.contains("Table 2"));
     let _ = std::fs::remove_dir_all(dir);
 }
