@@ -11,8 +11,9 @@
 //!   request" in the server means exactly "would produce byte-identical
 //!   results";
 //! * **the memory-speed hit path** — [`HarnessBackend::cached`] assembles
-//!   a whole job from validated cache entries and renders it without
-//!   touching the executor;
+//!   a whole job from verified cache entries without touching the
+//!   executor, and renders it only when those entries changed since its
+//!   last render;
 //! * **execution** — [`HarnessBackend::execute`] runs one job through
 //!   [`executor::run`] with the same options `harness run` uses (journaled,
 //!   self-healing, artifact-writing), wiring the executor's per-point
@@ -30,13 +31,52 @@ use sparten_serve::{Backend, JobInfo, JobOutput, PointSource};
 use sparten_telemetry::{CancelToken, Telemetry, TraceContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// One served job: its experiment, its identity (computed once), and the
+/// output last rendered from its cache.
+struct ServedJob {
+    exp: Arc<dyn Experiment>,
+    info: JobInfo,
+    /// Cache key of each point.
+    keys: Vec<u64>,
+    /// The payloads behind the last render, and what it returned.
+    rendered: Mutex<Option<(Vec<PointPayload>, JobOutput)>>,
+}
+
+impl ServedJob {
+    fn new(exp: Arc<dyn Experiment>) -> ServedJob {
+        let fp = exp.fingerprint();
+        let keys = (0..exp.num_points())
+            .map(|point| Cache::key(exp.name(), &fp, crate::SEED, point))
+            .collect();
+        let info = JobInfo {
+            name: exp.name().to_string(),
+            kind: exp.kind().label().to_string(),
+            points: exp.num_points(),
+            // The job-level coalescing key: same material as the
+            // per-point cache keys, so it changes exactly when a rerun
+            // could produce different bytes.
+            key: fnv1a_parts(&[exp.name(), &fp, &format!("seed={}", crate::SEED)]),
+        };
+        ServedJob {
+            exp,
+            info,
+            keys,
+            rendered: Mutex::new(None),
+        }
+    }
+
+    fn rendered(&self) -> MutexGuard<'_, Option<(Vec<PointPayload>, JobOutput)>> {
+        self.rendered.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// [`Backend`] implementation over the harness registry and machinery.
 pub struct HarnessBackend {
-    experiments: Vec<Arc<dyn Experiment>>,
-    cache_dir: PathBuf,
+    jobs: Vec<ServedJob>,
+    cache: Cache,
     journal_dir: Option<PathBuf>,
     write_artifacts: bool,
     exec_jobs: usize,
@@ -59,8 +99,8 @@ impl HarnessBackend {
         exec_jobs: usize,
     ) -> HarnessBackend {
         HarnessBackend {
-            experiments,
-            cache_dir: cache_dir.into(),
+            jobs: experiments.into_iter().map(ServedJob::new).collect(),
+            cache: Cache::new(cache_dir),
             journal_dir,
             write_artifacts,
             exec_jobs: exec_jobs.max(1),
@@ -82,57 +122,54 @@ impl HarnessBackend {
         self
     }
 
-    fn find(&self, name: &str) -> Option<&Arc<dyn Experiment>> {
-        self.experiments.iter().find(|e| e.name() == name)
-    }
-
-    /// The job-level coalescing key: same material as the per-point cache
-    /// keys, so it changes exactly when a rerun could produce different
-    /// bytes.
-    fn coalesce_key(exp: &Arc<dyn Experiment>) -> u64 {
-        fnv1a_parts(&[
-            exp.name(),
-            &exp.fingerprint(),
-            &format!("seed={}", crate::SEED),
-        ])
-    }
-
-    fn info(exp: &Arc<dyn Experiment>) -> JobInfo {
-        JobInfo {
-            name: exp.name().to_string(),
-            kind: exp.kind().label().to_string(),
-            points: exp.num_points(),
-            key: Self::coalesce_key(exp),
-        }
+    fn find(&self, name: &str) -> Option<&ServedJob> {
+        self.jobs.iter().find(|j| j.info.name == name)
     }
 }
 
 impl Backend for HarnessBackend {
     fn jobs(&self) -> Vec<JobInfo> {
-        self.experiments.iter().map(Self::info).collect()
+        self.jobs.iter().map(|j| j.info.clone()).collect()
     }
 
     fn job(&self, name: &str) -> Option<JobInfo> {
-        self.find(name).map(Self::info)
+        self.find(name).map(|j| j.info.clone())
     }
 
+    /// Every call reads and checksum-verifies every point, so the disk
+    /// stays the source of truth: eviction, `harness clean`, `fsck
+    /// --repair` and corruption show at once. `validate` and `render` are
+    /// deterministic (the [`Experiment`] contract), so while the cache
+    /// holds the very payloads behind the last render, that render's
+    /// output is returned without calling either.
     fn cached(&self, name: &str) -> Option<JobOutput> {
-        let exp = self.find(name)?;
-        let cache = Cache::new(&self.cache_dir);
-        let fp = exp.fingerprint();
-        let mut points: Vec<PointPayload> = Vec::with_capacity(exp.num_points());
-        for point in 0..exp.num_points() {
-            let key = Cache::key(exp.name(), &fp, crate::SEED, point);
-            match cache.lookup(exp.name(), point, key) {
-                Lookup::Hit(payload) if exp.validate(point, &payload) => points.push(payload),
-                _ => return None,
+        let job = self.find(name)?;
+        let mut points = Vec::with_capacity(job.keys.len());
+        for (point, &key) in job.keys.iter().enumerate() {
+            match self.cache.lookup(job.exp.name(), point, key) {
+                Lookup::Hit(payload) => points.push(payload),
+                Lookup::Miss | Lookup::Malformed => return None,
             }
         }
-        let capture = exp.render(&points);
-        Some(JobOutput {
+        if let Some((seen, output)) = &*job.rendered() {
+            if *seen == points {
+                return Some(output.clone());
+            }
+        }
+        let valid = points
+            .iter()
+            .enumerate()
+            .all(|(point, payload)| job.exp.validate(point, payload));
+        if !valid {
+            return None;
+        }
+        let capture = job.exp.render(&points);
+        let output = JobOutput {
             text: capture.text,
             artifacts: capture.artifacts,
-        })
+        };
+        *job.rendered() = Some((points, output.clone()));
+        Some(output)
     }
 
     fn execute(
@@ -142,13 +179,14 @@ impl Backend for HarnessBackend {
         trace: Option<TraceContext>,
         cancel: CancelToken,
     ) -> Result<JobOutput, String> {
-        let exp = Arc::clone(self.find(name).ok_or_else(|| format!("unknown job `{name}`"))?);
+        let job = self.find(name).ok_or_else(|| format!("unknown job `{name}`"))?;
+        let exp = Arc::clone(&job.exp);
         let seq = self.run_seq.fetch_add(1, Ordering::SeqCst);
         let opts = RunOptions {
             filter: None,
             jobs: self.exec_jobs,
             force: false,
-            cache_dir: self.cache_dir.clone(),
+            cache_dir: self.cache.dir().to_path_buf(),
             write_artifacts: self.write_artifacts,
             stream_output: false,
             telemetry_dir: None,

@@ -5,31 +5,37 @@
 //! the `sparten_serve::client`, and asserts the acceptance properties:
 //! concurrent duplicate requests share exactly one execution, saturation
 //! answers 429 + `Retry-After`, cache hits are byte-identical to a direct
-//! executor run, and a drain completes in-flight requests, refuses new
-//! connections, and leaves no dangling journal. (The real-signal path —
+//! executor run and render once per cache state without hiding a deleted
+//! or corrupted entry, a slow client holds only its own connection
+//! thread, and a drain (even of a daemon that never saw a connection)
+//! completes in-flight requests, refuses new connections, and leaves no
+//! dangling journal. (The real-signal path —
 //! SIGTERM against the binary exiting 75 — is covered by the serve smoke
 //! in `scripts/verify.sh`, which this suite cannot do in-process.)
 
 use sparten_bench::json::Json;
 use sparten_bench::{Capture, ExperimentKind};
+use sparten_harness::cache::Cache;
 use sparten_harness::executor::{self, RunOptions};
 use sparten_harness::serve::HarnessBackend;
-use sparten_harness::{Experiment, PointPayload};
+use sparten_harness::{Experiment, PointPayload, SEED};
 use sparten_serve::client::{request, Response};
 use sparten_serve::{ServeOptions, Server};
 use sparten_telemetry::{Telemetry, TraceContext};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// A synthetic experiment: deterministic payloads, optional per-point
-/// delay (to hold the admission budget in the saturation/drain tests).
+/// delay (to hold the admission budget in the saturation/drain tests),
+/// and a count of its `render` calls.
 struct TestExp {
     name: &'static str,
     points: usize,
     delay: Duration,
+    renders: Arc<AtomicUsize>,
 }
 
 impl Experiment for TestExp {
@@ -67,6 +73,7 @@ impl Experiment for TestExp {
         (payload, Some(session))
     }
     fn render(&self, points: &[PointPayload]) -> Capture {
+        self.renders.fetch_add(1, Ordering::SeqCst);
         let mut text = format!("== {} ==\n", self.name);
         for p in points {
             match p {
@@ -82,11 +89,7 @@ impl Experiment for TestExp {
 }
 
 fn exp(name: &'static str, points: usize) -> Arc<dyn Experiment> {
-    Arc::new(TestExp {
-        name,
-        points,
-        delay: Duration::ZERO,
-    })
+    slow_exp(name, points, Duration::ZERO)
 }
 
 fn slow_exp(name: &'static str, points: usize, delay: Duration) -> Arc<dyn Experiment> {
@@ -94,6 +97,7 @@ fn slow_exp(name: &'static str, points: usize, delay: Duration) -> Arc<dyn Exper
         name,
         points,
         delay,
+        renders: Arc::default(),
     })
 }
 
@@ -500,6 +504,165 @@ fn cache_hits_bypass_the_executor_and_match_harness_run_bytes() {
     let parsed = sparten_telemetry::parse_report(&metrics.body).expect("report parses");
     assert_eq!(parsed.counters.get("serve/cache.full_hits"), Some(&2));
 
+    shutdown.store(1, Ordering::SeqCst);
+    assert!(handle.join().unwrap().clean());
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// The warm path renders once per cache state, yet never answers from
+/// memory what the disk no longer holds: five hits cost one render, and a
+/// deleted or corrupted entry is a miss at once.
+#[test]
+fn remembered_render_never_hides_the_disk() {
+    let renders = Arc::new(AtomicUsize::new(0));
+    let experiments: Vec<Arc<dyn Experiment>> = vec![Arc::new(TestExp {
+        name: "srv_render",
+        points: 3,
+        delay: Duration::ZERO,
+        renders: Arc::clone(&renders),
+    })];
+    // `direct_output` runs into `fresh_dir(tag)`: this warms `cache_dir`.
+    let cache_dir = fresh_dir("render-cache");
+    let direct = direct_output(&experiments, "srv_render", "render-cache");
+    let (addr, telemetry, shutdown, handle) =
+        start_server(experiments.clone(), &cache_dir, None, 2, 8);
+
+    let before = renders.load(Ordering::SeqCst);
+    for _ in 0..5 {
+        let hit = request(&addr, "GET", "/result?job=srv_render", None).expect("result");
+        assert_eq!(hit.status, 200);
+        assert_eq!(hit.body, direct);
+    }
+    assert_eq!(
+        renders.load(Ordering::SeqCst) - before,
+        1,
+        "five hits on one cache state must render once"
+    );
+
+    let exp = &experiments[0];
+    let entry = |point| {
+        let key = Cache::key(exp.name(), &exp.fingerprint(), SEED, point);
+        Cache::new(&cache_dir).entry_file(exp.name(), point, key)
+    };
+    // A deleted entry is a miss, and a run executes the job again.
+    std::fs::remove_file(entry(1)).expect("delete entry");
+    let miss = request(&addr, "GET", "/result?job=srv_render", None).expect("result");
+    assert_eq!(
+        miss.status, 404,
+        "a deleted entry must not be served from memory"
+    );
+    let run = request(&addr, "POST", "/run?job=srv_render", None).expect("run");
+    assert_eq!(run.status, 200);
+    assert_eq!(
+        counter(&telemetry, "serve/exec.runs"),
+        1,
+        "the run must execute"
+    );
+    assert_eq!(done_output(&run), direct);
+
+    // A flipped byte fails the entry's checksum: a miss again.
+    let path = entry(2);
+    let mut bytes = std::fs::read(&path).expect("read entry");
+    let at = bytes.len() - 2;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, bytes).expect("corrupt entry");
+    let corrupt = request(&addr, "GET", "/result?job=srv_render", None).expect("result");
+    assert_eq!(
+        corrupt.status, 404,
+        "a corrupted entry must not be served from memory"
+    );
+
+    shutdown.store(1, Ordering::SeqCst);
+    assert!(handle.join().unwrap().clean());
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A daemon bound to the unspecified address that never received a
+/// connection still drains once the flag is raised: the watcher wakes its
+/// blocking accept over loopback, and that wake is not a served session.
+#[test]
+fn idle_daemon_on_unspecified_address_drains_when_flagged() {
+    let cache_dir = fresh_dir("idle-cache");
+    let backend = Arc::new(HarnessBackend::new(
+        vec![exp("srv_idle", 1)],
+        cache_dir.clone(),
+        None,
+        false,
+        1,
+    ));
+    let shutdown = Arc::new(AtomicUsize::new(0));
+    let opts = ServeOptions {
+        addr: "0.0.0.0:0".to_string(),
+        shutdown: Arc::clone(&shutdown),
+        ..ServeOptions::default()
+    };
+    let server = Server::bind(backend, Arc::new(Telemetry::new()), opts).expect("bind");
+    let (done, drained) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = done.send(server.serve());
+    });
+
+    shutdown.store(1, Ordering::SeqCst);
+    // A missed wake fails here instead of hanging the suite.
+    let report = drained
+        .recv_timeout(Duration::from_secs(10))
+        .expect("idle daemon never drained");
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(
+        report.sessions_served, 0,
+        "the wake connection is not a session"
+    );
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A slow-loris client holds one connection thread for its whole read
+/// budget; concurrent requests are still answered at once by other
+/// threads, never queued behind it.
+#[test]
+fn slow_client_does_not_hold_up_other_connections() {
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let cache_dir = fresh_dir("busy-cache");
+    let read_timeout = Duration::from_secs(5);
+    let (addr, _telemetry, shutdown, handle, probe) = start_server_with(
+        vec![exp("srv_busy", 1)],
+        &cache_dir,
+        None,
+        1,
+        0,
+        read_timeout,
+    );
+
+    // A finished request leaves a parked thread, which the loris takes.
+    let first = request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(first.status, 200);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while probe.sessions_served() < 1 {
+        assert!(Instant::now() < deadline, "first session never ended");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let mut loris = TcpStream::connect(&addr).expect("connect");
+    loris
+        .write_all(b"GET /jobs HTTP/1.1\r\n")
+        .expect("partial head");
+    while probe.open_sessions() < 1 {
+        assert!(Instant::now() < deadline, "loris never accepted");
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    for _ in 0..3 {
+        let started = Instant::now();
+        let health = request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200);
+        assert!(
+            started.elapsed() < read_timeout / 4,
+            "healthz waited {:?} behind a slow client",
+            started.elapsed()
+        );
+    }
+
+    drop(loris);
     shutdown.store(1, Ordering::SeqCst);
     assert!(handle.join().unwrap().clean());
     let _ = std::fs::remove_dir_all(&cache_dir);

@@ -16,10 +16,23 @@
 //! finished sweep point, and a terminal `done` event carrying the full
 //! output. The runner and every follower observe identical sequences.
 //!
+//! # Connection threads
+//!
+//! The accept loop blocks in `accept` and hands each connection to a
+//! parked connection thread, spawning a new one only when none is parked,
+//! so a slow client holds one thread and blocks nobody else. A thread that
+//! finished its request parks for the next; at most
+//! `available_parallelism()` stay parked and the rest exit. A thread whose
+//! request panicked dies with it and is never reused.
+//!
 //! # Drain state machine
 //!
-//! The accept loop polls a shared shutdown flag (the harness wires in the
-//! `signal.rs` flag, tests inject their own):
+//! A shared shutdown flag (the harness wires in the `signal.rs` flag,
+//! tests inject their own) starts the drain. A signal handler can only
+//! store an atomic, so a watcher thread polls the flag off the request
+//! path and, once it is raised, connects to the listener to wake the
+//! blocking `accept`; the loop checks the flag after every accept and
+//! drops that connection unserved:
 //!
 //! ```text
 //! ACCEPTING --flag>=1--> DRAINING --sessions==0--> DRAINED (exit 75)
@@ -30,7 +43,8 @@
 //! In `DRAINING` the listener closes, so new connections are refused at
 //! the TCP layer, while every accepted session — including runs still
 //! queued for a slot — completes normally. That is what "zero dropped
-//! accepted requests" means under shutdown.
+//! accepted requests" means under shutdown. Parked connection threads are
+//! then woken to exit and joined.
 
 use crate::coalesce::{Event, Gate, SlotWait, Ticket};
 use crate::http::{parse_request, respond, ChunkedWriter, HttpError, Request};
@@ -39,12 +53,17 @@ use sparten_bench::json::Json;
 use sparten_telemetry::{
     chrome_trace, prometheus, text_report, CancelToken, ServerMetrics, Telemetry, TraceContext,
 };
+use std::collections::VecDeque;
 use std::io::{BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// How often the watcher thread reads the shutdown flag, and how long it
+/// waits between wake attempts.
+const WATCH_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Static identity a running daemon reports from `/healthz` and
 /// `/metrics`: which binary and which job registry a scrape is observing.
@@ -154,6 +173,8 @@ impl Shared {
 /// [`local_addr`](Server::local_addr) in between.
 pub struct Server {
     listener: TcpListener,
+    /// Where the shutdown watcher connects to wake the blocking accept.
+    wake_addr: SocketAddr,
     shared: Arc<Shared>,
     opts: ServeOptions,
 }
@@ -166,12 +187,13 @@ impl Server {
         opts: ServeOptions,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
+        let wake_addr = wake_address(listener.local_addr()?);
         let metrics = ServerMetrics::new(&telemetry.metrics);
         let gate = Gate::new(opts.max_active, opts.max_queued);
         let trace_pid = telemetry.recorder.alloc_process("serve");
         Ok(Server {
             listener,
+            wake_addr,
             shared: Arc::new(Shared {
                 backend,
                 telemetry,
@@ -210,40 +232,218 @@ impl Server {
     pub fn serve(self) -> DrainReport {
         let Server {
             listener,
+            wake_addr,
             shared,
             opts,
         } = self;
-        while opts.shutdown.load(Ordering::SeqCst) == 0 {
-            match listener.accept() {
+        let accepting = Arc::new(AtomicBool::new(true));
+        let watcher = spawn_watcher(
+            Arc::clone(&opts.shutdown),
+            Arc::clone(&accepting),
+            wake_addr,
+        );
+        let workers = Arc::new(Workers::new());
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        loop {
+            let accepted = listener.accept();
+            // The watcher's wake connection, or a client racing the
+            // drain, is dropped here unserved.
+            if opts.shutdown.load(Ordering::SeqCst) != 0 {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&shared);
-                    let read_timeout = opts.read_timeout;
                     shared.open_sessions.fetch_add(1, Ordering::SeqCst);
-                    thread::spawn(move || {
-                        handle_connection(&shared, stream, read_timeout);
-                        shared.open_sessions.fetch_sub(1, Ordering::SeqCst);
-                        shared.served.fetch_add(1, Ordering::SeqCst);
-                    });
+                    if let Some(stream) = workers.hand_off(stream) {
+                        threads.retain(|t| !t.is_finished());
+                        let (shared, workers) = (Arc::clone(&shared), Arc::clone(&workers));
+                        let read_timeout = opts.read_timeout;
+                        threads.push(thread::spawn(move || {
+                            serve_connections(&shared, &workers, stream, read_timeout)
+                        }));
+                    }
                 }
-                // The nonblocking listener doubles as the shutdown poll;
-                // a 1ms nap bounds per-connection accept latency without
-                // measurable idle cost (the OS coalesces the wakeups).
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1));
-                }
+                // Out of descriptors, or a connection reset before it was
+                // accepted: back off briefly rather than spin.
                 Err(_) => thread::sleep(Duration::from_millis(1)),
             }
         }
         // DRAINING: close the listener so new connections are refused,
         // then wait for every accepted session (running or queued).
         drop(listener);
-        let deadline = Instant::now() + opts.drain_timeout;
-        while shared.open_sessions.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(10));
+        accepting.store(false, Ordering::SeqCst);
+        let _ = watcher.join();
+        let abandoned = workers.drain(&shared, Instant::now() + opts.drain_timeout);
+        // After a clean drain every thread is parked (now woken to exit)
+        // or already gone; threads still serving an abandoned session are
+        // left to finish on their own.
+        if abandoned == 0 {
+            for thread in threads {
+                let _ = thread.join();
+            }
         }
         DrainReport {
             sessions_served: shared.served.load(Ordering::SeqCst) as u64,
-            abandoned: shared.open_sessions.load(Ordering::SeqCst) as u64,
+            abandoned: abandoned as u64,
+        }
+    }
+}
+
+/// The address the shutdown watcher connects to: the listener's own, with
+/// an unspecified bind address (`0.0.0.0`, `[::]`) mapped to loopback.
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Starts the thread that turns a raised shutdown flag into one
+/// connection to `addr`, which wakes the blocking accept. The flag is set
+/// from a signal handler, which may only store an atomic, so it must be
+/// polled; this thread polls it off the request path. A failed connect is
+/// retried until the accept loop has stopped.
+fn spawn_watcher(
+    shutdown: Arc<AtomicUsize>,
+    accepting: Arc<AtomicBool>,
+    addr: SocketAddr,
+) -> JoinHandle<()> {
+    thread::spawn(move || {
+        while shutdown.load(Ordering::SeqCst) == 0 {
+            thread::sleep(WATCH_INTERVAL);
+        }
+        while accepting.load(Ordering::SeqCst)
+            && TcpStream::connect_timeout(&addr, WATCH_INTERVAL * 20).is_err()
+        {
+            thread::sleep(WATCH_INTERVAL);
+        }
+    })
+}
+
+/// The connection threads parked between requests.
+struct Workers {
+    state: Mutex<WorkerState>,
+    /// Signalled when a connection is handed off, and at drain.
+    wake: Condvar,
+    /// Signalled when the last open session ends.
+    idle: Condvar,
+    /// Most threads kept parked; a thread finishing a request beyond this
+    /// exits.
+    max_parked: usize,
+}
+
+#[derive(Default)]
+struct WorkerState {
+    /// Parked threads not yet handed a connection.
+    parked: usize,
+    /// Connections handed off but not yet picked up.
+    handoff: VecDeque<TcpStream>,
+    /// Set at drain: parked threads exit.
+    closed: bool,
+}
+
+impl Workers {
+    fn new() -> Workers {
+        Workers {
+            state: Mutex::default(),
+            wake: Condvar::new(),
+            idle: Condvar::new(),
+            max_parked: thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WorkerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands `stream` to a parked thread, or gives it back when none is
+    /// parked.
+    fn hand_off(&self, stream: TcpStream) -> Option<TcpStream> {
+        let mut state = self.lock();
+        if state.parked == 0 {
+            return Some(stream);
+        }
+        state.parked -= 1;
+        state.handoff.push_back(stream);
+        self.wake.notify_one();
+        None
+    }
+
+    /// Ends the calling thread's session on `finished`, then parks the
+    /// thread until it is handed its next connection. `None` tells the
+    /// thread to exit.
+    fn next(&self, shared: &Shared, finished: TcpStream) -> Option<TcpStream> {
+        let mut state = self.lock();
+        // Counted under the lock, so `drain` cannot miss the last one.
+        if shared.open_sessions.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.idle.notify_all();
+        }
+        shared.served.fetch_add(1, Ordering::SeqCst);
+        if state.closed || state.parked >= self.max_parked {
+            return None;
+        }
+        // Parked before the close: closing is what lets a client send its
+        // next request, which should find this thread instead of
+        // spawning another.
+        state.parked += 1;
+        drop(state);
+        drop(finished);
+        let mut state = self.lock();
+        loop {
+            if let Some(stream) = state.handoff.pop_front() {
+                return Some(stream);
+            }
+            if state.closed {
+                state.parked -= 1;
+                return None;
+            }
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Waits until every accepted session has ended or `deadline` passes,
+    /// then wakes the parked threads to exit. Returns the sessions still
+    /// open.
+    fn drain(&self, shared: &Shared, deadline: Instant) -> usize {
+        let mut state = self.lock();
+        loop {
+            let open = shared.open_sessions.load(Ordering::SeqCst);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if open == 0 || left.is_zero() {
+                state.closed = true;
+                self.wake.notify_all();
+                return open;
+            }
+            state = self
+                .idle
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
+/// A connection thread: serves `stream`, then each connection it is
+/// handed while parked. A panic ends the thread with its session still
+/// open, so the drain reports it abandoned, and the thread, whose
+/// thread-local render capture may be mid-use, is never reused.
+fn serve_connections(
+    shared: &Arc<Shared>,
+    workers: &Workers,
+    mut stream: TcpStream,
+    read_timeout: Duration,
+) {
+    loop {
+        handle_connection(shared, &mut stream, read_timeout);
+        match workers.next(shared, stream) {
+            Some(next) => stream = next,
+            None => return,
         }
     }
 }
@@ -299,7 +499,7 @@ impl Read for DeadlineReader {
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, read_timeout: Duration) {
+fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream, read_timeout: Duration) {
     let _ = stream.set_read_timeout(Some(read_timeout));
     shared.metrics.sessions_inflight.observe(
         shared.open_sessions.load(Ordering::SeqCst) as f64,
@@ -317,7 +517,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, read_timeout: 
     match request {
         Ok(request) => {
             shared.metrics.requests.inc();
-            route(shared, &mut stream, &request);
+            route(shared, stream, &request);
         }
         Err(HttpError::UnexpectedEof) => {} // client gave up; nothing to answer
         Err(HttpError::TimedOut) => {
@@ -326,7 +526,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, read_timeout: 
             // budget is held.
             shared.metrics.bad_requests.inc();
             let _ = respond(
-                &mut stream,
+                stream,
                 408,
                 "text/plain",
                 &[],
@@ -336,7 +536,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, read_timeout: 
         Err(e) => {
             shared.metrics.bad_requests.inc();
             let _ = respond(
-                &mut stream,
+                stream,
                 400,
                 "text/plain",
                 &[],
@@ -498,13 +698,13 @@ fn handle_result(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request
 /// `POST /run?job=NAME`: compute (or join, or fetch) a job, streaming
 /// NDJSON progress.
 ///
-/// Every run request mints a root [`TraceContext`] and records the
-/// causal chain into the shared recorder: the request span, the gate's
-/// verdict (as an instant event), the queue wait, and — via the trace
-/// context handed to [`Backend::execute`] — the executor's per-point
-/// spans and the simulators' per-chunk spans, all carrying the same
-/// trace id. A follower's events additionally carry `runner_trace` /
-/// `runner_span` args linking to the execution it joined.
+/// Every run request mints a root [`TraceContext`]. One that is not a
+/// whole-job cache hit records its causal chain into the shared recorder:
+/// the request span, the gate's verdict (as an instant event), the queue
+/// wait, and — via the trace context handed to [`Backend::execute`] —
+/// the executor's per-point spans and the simulators' per-chunk spans,
+/// all carrying the same trace id. A follower's events additionally carry
+/// `runner_trace` / `runner_span` args linking to the execution it joined.
 fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
     let name = match requested_job(request) {
         Ok(name) => name,
@@ -575,6 +775,9 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
 
     // Fast path: the whole job is in the result cache — answer at memory
     // speed without consuming admission budget or touching the executor.
+    // Hits are counted in /metrics but not traced: the recorder keeps its
+    // first events, and hits would fill it before the executions it is
+    // there to explain.
     let started = Instant::now();
     if let Some(output) = shared.backend.cached(&name) {
         shared.metrics.cache_full_hits.inc();
@@ -582,7 +785,6 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
             .metrics
             .cache_hit_latency_us
             .record(started.elapsed().as_micros() as u64);
-        recorder.instant(shared.trace_pid, tid, "gate.cache", shared.now_us(), &ctx.args());
         stream_events(
             stream,
             &job,
@@ -590,7 +792,6 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
             std::iter::once(Event::Done(Arc::new(Ok(output)))),
             &ctx,
         );
-        record_request_span(shared, tid, req_start_us, &request_args);
         return;
     }
 

@@ -14,7 +14,7 @@ echo "== cargo build --release =="
 cargo build --workspace --release
 
 echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test --workspace -q
