@@ -1,7 +1,9 @@
 //! Experiment drivers shared by the figure binaries.
 
 use sparten::nn::{LayerSpec, Network};
-use sparten::sim::{simulate_layer, simulate_layer_telemetry, MaskModel, Scheme, SimConfig, SimResult};
+use sparten::sim::{
+    simulate_layer_telemetry, simulate_schemes, MaskModel, Scheme, SimConfig, SimResult,
+};
 use sparten::telemetry::Telemetry;
 
 /// The seed every harness run uses, for reproducible tables.
@@ -52,10 +54,7 @@ pub fn run_layer(spec: &LayerSpec, schemes: &[Scheme], config: &SimConfig) -> La
     let model = MaskModel::new(&workload, config.accel.cluster.chunk_size);
     LayerResult {
         layer: spec.name,
-        results: schemes
-            .iter()
-            .map(|&s| simulate_layer(&workload, &model, config, s))
-            .collect(),
+        results: simulate_schemes(&workload, &model, config, schemes),
     }
 }
 

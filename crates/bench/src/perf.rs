@@ -7,8 +7,9 @@
 //!   its structural-circuit oracle (prefix networks, inner-join
 //!   sequencer, output compactor) and report the speedup;
 //! * **macro benches** time representative end-to-end paths: one
-//!   cycle-simulated layer per architecture and one functional-engine
-//!   layer (the harness adds its cache hit path on top).
+//!   cycle-simulated layer per architecture, a real Table 3 layer under
+//!   every scheme, and one functional-engine layer (the harness adds its
+//!   cache hit path on top).
 //!
 //! `harness bench` renders the speedup table, emits `BENCH_sim.json`
 //! via `atomic_write`, and — when a previous `BENCH_sim.json` exists —
@@ -138,7 +139,7 @@ pub fn run_benchmarks(opts: &BenchOptions, extras: Vec<ExtraBench<'_>>) -> Bench
     use sparten::core::BalanceMode;
     use sparten::nn::generate::workload;
     use sparten::nn::ConvShape;
-    use sparten::sim::{simulate_layer, MaskModel, Scheme, SimConfig};
+    use sparten::sim::{simulate_layer, simulate_schemes, MaskModel, Scheme, SimConfig};
     use sparten::tensor::{Rng64, SparseChunk};
 
     let budget = opts.budget();
@@ -253,6 +254,18 @@ pub fn run_benchmarks(opts: &BenchOptions, extras: Vec<ExtraBench<'_>>) -> Bench
         let name = format!("layer/{}", scheme.label());
         macro_bench(&name, &mut || {
             std::hint::black_box(simulate_layer(&w, &model, &config, scheme));
+        });
+    }
+    // A real Table 3 layer under every scheme, the unit of work a figure
+    // point runs: GoogLeNet Inc3a_3x3 on its registry config.
+    {
+        let net = sparten::nn::networks::googlenet();
+        let spec = net.layer("Inc3a_3x3").expect("Table 3 layer");
+        let config = crate::network_config(&net);
+        let w = spec.workload(crate::SEED);
+        let model = MaskModel::new(&w, config.accel.cluster.chunk_size);
+        macro_bench("table3/GoogLeNet-Inc3a_3x3", &mut || {
+            std::hint::black_box(simulate_schemes(&w, &model, &config, &Scheme::all()));
         });
     }
     macro_bench("engine/run-layer", &mut || {

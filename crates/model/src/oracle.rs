@@ -13,7 +13,7 @@
 //! noise of the synthetic workload generator.
 
 use sparten_nn::networks::{alexnet, googlenet, vggnet, LayerSpec};
-use sparten_sim::{simulate_layer, MaskModel, Scheme, SimConfig};
+use sparten_sim::{simulate_schemes, MaskModel, Scheme, SimConfig};
 
 use crate::params::LayerParams;
 use crate::predict;
@@ -151,10 +151,11 @@ pub fn compare_layer(
     let workload = spec.workload(seed);
     let mask = MaskModel::new(&workload, config.accel.cluster.chunk_size);
     let params = LayerParams::from_measurement(spec.shape, &mask.measure());
+    let sims = simulate_schemes(&workload, &mask, config, schemes);
     schemes
         .iter()
-        .map(|&scheme| {
-            let sim = simulate_layer(&workload, &mask, config, scheme);
+        .zip(sims)
+        .map(|(&scheme, sim)| {
             let pred = predict(&params, config, scheme);
             OracleRow {
                 network,

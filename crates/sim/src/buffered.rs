@@ -68,31 +68,31 @@ pub fn simulate_buffered(
     let (oh, ow) = (shape.out_height(), shape.out_width());
     let positions = oh * ow;
 
+    let mut table = model.work_table();
     let mut makespan = 0u64;
     let mut useful = 0u64;
     for cluster in 0..num_clusters {
         let lo = positions * cluster / num_clusters;
         let hi = positions * (cluster + 1) / num_clusters;
-        let mut cluster_time = 0u64;
-        for group in &balance.groups {
-            // Per-unit completion times of the in-flight window, plus the
-            // per-item issue gating: item k may issue once every unit has
-            // finished item k − B.
-            let mut unit_time = vec![0u64; units];
-            // Ring buffer of "all units done with item k" times.
-            let window = match depth {
-                BufferDepth::Bounded(b) => b,
-                BufferDepth::Unbounded => usize::MAX,
-            };
-            let mut done_ring: Vec<u64> = Vec::new(); // completion maxes, in item order
-            let mut item = 0usize;
-            for p in lo..hi {
-                let (ox, oy) = (p % oh, p / oh);
+        // Each group runs its own stream of (position, chunk) items. Per
+        // group: each unit's completion time, and a ring of the last `B`
+        // items' all-units-done times — item k may issue once every unit
+        // has finished item k − B.
+        let ring = match depth {
+            BufferDepth::Bounded(b) => b.min((hi - lo) * chunks),
+            BufferDepth::Unbounded => 0,
+        };
+        let mut unit_time = vec![vec![0u64; units]; balance.groups.len()];
+        let mut done_ring = vec![vec![0u64; ring]; balance.groups.len()];
+        for (n, p) in (lo..hi).enumerate() {
+            model.load_window(p % oh, p / oh, &mut table);
+            model.fill_joins(&mut table);
+            for (g, group) in balance.groups.iter().enumerate() {
                 for c in 0..chunks {
-                    let issue = if window != usize::MAX && item >= window {
-                        done_ring[item - window]
-                    } else {
-                        0
+                    let item = n * chunks + c;
+                    let issue = match depth {
+                        BufferDepth::Bounded(b) if item >= b => done_ring[g][item % ring],
+                        _ => 0,
                     };
                     let per_unit: &[Vec<usize>] = if group.per_chunk_cu.is_empty() {
                         &group.per_cu
@@ -101,23 +101,23 @@ pub fn simulate_buffered(
                     };
                     let mut item_done = 0u64;
                     for (u, slots) in per_unit.iter().enumerate().take(units) {
-                        let mut w = 0u64;
-                        for &f in slots {
-                            w += model.chunk_work(ox, oy, f, c) as u64;
-                        }
+                        let w: u64 = slots.iter().map(|&f| table.join(f, c) as u64).sum();
                         useful += w;
-                        unit_time[u] = unit_time[u].max(issue) + w + 1;
-                        item_done = item_done.max(unit_time[u]);
+                        let t = &mut unit_time[g][u];
+                        *t = (*t).max(issue) + w + 1;
+                        item_done = item_done.max(*t);
                     }
-                    if window != usize::MAX {
-                        done_ring.push(item_done);
+                    if ring > 0 {
+                        done_ring[g][item % ring] = item_done;
                     }
-                    item += 1;
                 }
             }
-            // Group boundary: drain (filters swap in).
-            cluster_time += unit_time.iter().copied().max().unwrap_or(0);
         }
+        // Group boundary: drain (filters swap in).
+        let cluster_time: u64 = unit_time
+            .iter()
+            .map(|t| t.iter().copied().max().unwrap_or(0))
+            .sum();
         makespan = makespan.max(cluster_time);
     }
     BufferedResult {

@@ -87,6 +87,7 @@ pub fn simulate_cambricon_telemetry(
     let probe = tel.map(|t| Probe::new(t, "Cambricon-S-like"));
     let hist_chunk = probe.as_ref().map(|p| p.histogram("hist.chunk_work"));
 
+    let mut table = executed_model.work_table();
     let mut cluster_cycles = vec![0u64; num_clusters];
     let mut cluster_busy = vec![0u64; num_clusters];
     for cluster in 0..num_clusters {
@@ -96,7 +97,8 @@ pub fn simulate_cambricon_telemetry(
         let mut busy = 0u64;
         let mut tally = StallTally::default();
         for p in lo..hi {
-            let (ox, oy) = (p % oh, p / oh);
+            executed_model.load_window(p % oh, p / oh, &mut table);
+            executed_model.fill_joins(&mut table);
             for g in 0..num_groups {
                 let group_filters = units.min(shape.num_filters - g * units) as u64;
                 // Every unit in the group shares the mask, so the group's
@@ -104,7 +106,7 @@ pub fn simulate_cambricon_telemetry(
                 // filter's executed work.
                 let lead = g * units;
                 for c in 0..chunks {
-                    let w = executed_model.chunk_work(ox, oy, lead, c) as u64;
+                    let w = table.join(lead, c) as u64;
                     cycles += w + CHUNK_OVERHEAD;
                     busy += w * group_filters;
                     if let Some(h) = &hist_chunk {

@@ -1,4 +1,5 @@
-//! High-level simulation entry points: one call per (layer, scheme).
+//! High-level simulation entry points: one call per (layer, scheme), or
+//! per layer for a list of schemes.
 
 use sparten_core::balance::BalanceMode;
 use sparten_core::SimError;
@@ -13,7 +14,8 @@ use crate::dense::{simulate_dense, simulate_dense_telemetry};
 use crate::probe::reconcile_and_merge;
 use crate::scnn::{simulate_scnn, simulate_scnn_faulted, simulate_scnn_telemetry, ScnnVariant};
 use crate::sparten::{
-    simulate_sparten, simulate_sparten_faulted, simulate_sparten_telemetry, Sparsity,
+    layer_balance, simulate_sparten, simulate_sparten_faulted, simulate_sparten_pass,
+    simulate_sparten_telemetry, Run, Sparsity,
 };
 use crate::workmodel::MaskModel;
 
@@ -72,6 +74,18 @@ impl Scheme {
             Scheme::ScnnDense => "SCNN-dense",
         }
     }
+
+    /// The SparTen datapath a SparTen-family scheme runs on; `None` for
+    /// Dense and the SCNN variants.
+    fn sparten(self) -> Option<(Sparsity, BalanceMode)> {
+        match self {
+            Scheme::OneSided => Some((Sparsity::OneSided, BalanceMode::None)),
+            Scheme::SpartenNoGb => Some((Sparsity::TwoSided, BalanceMode::None)),
+            Scheme::SpartenGbS => Some((Sparsity::TwoSided, BalanceMode::GbS)),
+            Scheme::SpartenGbH => Some((Sparsity::TwoSided, BalanceMode::GbH)),
+            Scheme::Dense | Scheme::Scnn | Scheme::ScnnOneSided | Scheme::ScnnDense => None,
+        }
+    }
 }
 
 /// Simulates one layer workload on one scheme, reusing a prebuilt mask
@@ -116,6 +130,42 @@ pub fn simulate_layer(
         Scheme::ScnnOneSided => simulate_scnn(workload, model, config, ScnnVariant::OneSided),
         Scheme::ScnnDense => simulate_scnn(workload, model, config, ScnnVariant::Dense),
     }
+}
+
+/// Simulates one layer workload on every scheme in `schemes`, returning
+/// the results in the same order; each equals [`simulate_layer`]'s.
+///
+/// The SparTen-family schemes (One-sided, no-GB, GB-S, GB-H) share one
+/// pass over the output positions, which computes each (position, filter,
+/// chunk) join once for all of them and stores the layer's MAC total in
+/// `model` for the other schemes to read.
+pub fn simulate_schemes(
+    workload: &Workload,
+    model: &MaskModel,
+    config: &SimConfig,
+    schemes: &[Scheme],
+) -> Vec<SimResult> {
+    let (slots, runs): (Vec<usize>, Vec<Run<'_>>) = schemes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| {
+            let (sparsity, mode) = s.sparten()?;
+            let balance = layer_balance(workload, config, sparsity, mode);
+            Some((i, Run::new(model, config, sparsity, balance, None, None)))
+        })
+        .unzip();
+    let mut results: Vec<Option<SimResult>> = vec![None; schemes.len()];
+    for (i, r) in slots
+        .into_iter()
+        .zip(simulate_sparten_pass(workload, model, config, runs))
+    {
+        results[i] = Some(r.expect("fault-free simulation cannot fail"));
+    }
+    results
+        .into_iter()
+        .zip(schemes)
+        .map(|(r, &s)| r.unwrap_or_else(|| simulate_layer(workload, model, config, s)))
+        .collect()
 }
 
 /// Fallible [`simulate_layer`]: simulates with an optional injected compute

@@ -16,21 +16,28 @@
 //! with a non-zero input are multiplied) — the paper's proxy for Cnvlutin,
 //! Cambricon-X, and EIE's zero idling.
 //!
-//! Chunk work is obtained from [`MaskModel`], whose inner loops run on the
-//! word-parallel kernels in `sparten_arch::fast` (AND + popcount per `u64`
-//! word); the structural circuit models remain the oracle those kernels
-//! are differentially tested against.
+//! One pass over the output positions times any number of *runs* — one
+//! (sparsity, balance) pair each, with its own cluster clocks, tallies,
+//! optional probe and optional fault. At each position the pass loads the
+//! [`MaskModel`] window and fills its join table once, and every run reads
+//! its chunk work from that table, so a layer's schemes share every
+//! (position, filter, chunk) join instead of recomputing it per scheme.
+//! The joins run on the word-parallel kernels in `sparten_arch::fast` (an
+//! AND and a popcount per `u64` word); the structural circuit models remain
+//! the oracle those kernels are differentially tested against.
 
-use sparten_core::balance::{BalanceMode, LayerBalance};
+use std::sync::Arc;
+
+use sparten_core::balance::{BalanceMode, GroupAssignment, LayerBalance};
 use sparten_core::SimError;
 use sparten_faults::{UnitFault, UnitFaultSpec};
 use sparten_nn::generate::Workload;
-use sparten_telemetry::{StallCause, Telemetry};
+use sparten_telemetry::{Histogram, StallCause, Telemetry};
 
 use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
 use crate::config::SimConfig;
 use crate::probe::{Probe, StallTally, POSITION_SPAN_LIMIT};
-use crate::workmodel::MaskModel;
+use crate::workmodel::{MaskModel, WorkTable};
 
 /// Which sparsity the datapath exploits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,13 +76,7 @@ pub fn simulate_sparten_telemetry(
     mode: BalanceMode,
     tel: Option<&Telemetry>,
 ) -> SimResult {
-    let units = config.accel.cluster.compute_units;
-    let chunk_size = config.accel.cluster.chunk_size;
-    let mode = match sparsity {
-        Sparsity::OneSided => BalanceMode::None,
-        Sparsity::TwoSided => mode,
-    };
-    let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
+    let balance = layer_balance(workload, config, sparsity, mode);
     simulate_sparten_with_balance_telemetry(workload, model, config, sparsity, balance, tel)
 }
 
@@ -96,14 +97,9 @@ pub fn simulate_sparten_faulted(
     fault: &UnitFaultSpec,
     tel: Option<&Telemetry>,
 ) -> Result<SimResult, SimError> {
-    let units = config.accel.cluster.compute_units;
-    let chunk_size = config.accel.cluster.chunk_size;
-    let mode = match sparsity {
-        Sparsity::OneSided => BalanceMode::None,
-        Sparsity::TwoSided => mode,
-    };
-    let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
-    simulate_sparten_inner(workload, model, config, sparsity, balance, tel, Some(fault))
+    let balance = layer_balance(workload, config, sparsity, mode);
+    let run = Run::new(model, config, sparsity, balance, tel, Some(fault));
+    simulate_one(workload, model, config, run)
 }
 
 /// Simulates with an explicit balance assignment (e.g. k-way collocation
@@ -127,252 +123,462 @@ pub fn simulate_sparten_with_balance_telemetry(
     balance: LayerBalance,
     tel: Option<&Telemetry>,
 ) -> SimResult {
-    simulate_sparten_inner(workload, model, config, sparsity, balance, tel, None)
-        .expect("fault-free simulation cannot fail")
+    let run = Run::new(model, config, sparsity, balance, tel, None);
+    simulate_one(workload, model, config, run).expect("fault-free simulation cannot fail")
 }
 
-fn simulate_sparten_inner(
+fn simulate_one(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
-    sparsity: Sparsity,
-    balance: LayerBalance,
-    tel: Option<&Telemetry>,
-    fault: Option<&UnitFaultSpec>,
+    run: Run<'_>,
 ) -> Result<SimResult, SimError> {
+    simulate_sparten_pass(workload, model, config, vec![run])
+        .pop()
+        .expect("one run, one result")
+}
+
+/// The assignment a scheme runs under: `mode` balanced over the configured
+/// cluster, or no balancing for one-sided runs.
+pub(crate) fn layer_balance(
+    workload: &Workload,
+    config: &SimConfig,
+    sparsity: Sparsity,
+    mode: BalanceMode,
+) -> LayerBalance {
+    let mode = match sparsity {
+        Sparsity::OneSided => BalanceMode::None,
+        Sparsity::TwoSided => mode,
+    };
+    let cluster = &config.accel.cluster;
+    LayerBalance::new(
+        &workload.filters,
+        cluster.compute_units,
+        cluster.chunk_size,
+        mode,
+    )
+}
+
+/// Times every run in one pass over the layer's output positions; results
+/// come back in the order of `runs`.
+///
+/// Each position's join table is filled once and read by every run. A pass
+/// with a two-sided run fills every table, so it also sums the layer's
+/// two-sided MACs and stores them in `model` (see
+/// [`MaskModel::total_sparse_macs`]). A run whose stuck unit fails stops
+/// there; the pass stops once every run has failed (at once, for none).
+pub(crate) fn simulate_sparten_pass(
+    workload: &Workload,
+    model: &MaskModel,
+    config: &SimConfig,
+    mut runs: Vec<Run<'_>>,
+) -> Vec<Result<SimResult, SimError>> {
     let shape = &workload.shape;
-    let units = config.accel.cluster.compute_units;
     let num_clusters = config.accel.num_clusters;
-    let mode = balance.mode;
-    let chunks = model.chunks_per_window();
-    let (oh, ow) = (shape.out_height(), shape.out_width());
-    let positions = oh * ow;
+    let oh = shape.out_height();
+    let positions = oh * shape.out_width();
 
-    let mut cluster_cycles = vec![0u64; num_clusters];
-    let mut cluster_busy = vec![0u64; num_clusters];
-    let mut total_macs = 0u64; // MACs the datapath executes
-    let mut permute_values = 0u64;
-    let mut chunk_joins = 0u64;
+    let fill = runs.iter().any(|r| r.sparsity == Sparsity::TwoSided);
+    let mut table = model.work_table();
+    let mut macs = 0u64;
 
-    let probe = tel.map(|t| Probe::new(t, scheme_name(sparsity, mode)));
-    let hist_barrier = probe.as_ref().map(|p| p.histogram("hist.chunk_barrier"));
-    // Scratch: per-unit (work, statically-empty) for the chunk just timed,
-    // filled only when probing.
-    let mut unit_scratch: Vec<(u64, bool)> = Vec::new();
-
-    for cluster in 0..num_clusters {
-        let unit_fault = fault.filter(|f| f.cluster == cluster);
+    'pass: for cluster in 0..num_clusters {
         let lo = positions * cluster / num_clusters;
         let hi = positions * (cluster + 1) / num_clusters;
-        let mut cycles = 0u64;
-        let mut busy = 0u64;
-        let mut tally = StallTally::default();
-        let mut sampled_spans = 0usize;
+        for run in &mut runs {
+            run.begin_cluster(cluster);
+        }
         for p in lo..hi {
+            if runs.iter().all(|r| r.failed.is_some()) {
+                break 'pass;
+            }
             // One position is one chunk batch; a serve request whose
             // deadline expired (or whose last subscriber hung up) stops
             // here instead of finishing the layer.
             sparten_telemetry::cancel::checkpoint();
-            let pos_start = cycles;
-            let (ox, oy) = (p % oh, p / oh);
-            for group in &balance.groups {
-                let busy_units = group.busy_units() as u64;
-                if busy_units == 0 {
-                    continue;
-                }
-                for c in 0..chunks {
-                    match sparsity {
-                        Sparsity::OneSided => {
-                            let w = model.onesided_chunk_work(ox, oy, c) as u64;
-                            // The broadcast barrier advances at the victim's
-                            // stretched latency; useful work is unchanged.
-                            let mut barrier = w;
-                            if let Some(fa) = unit_fault {
-                                if (fa.unit as u64) < busy_units {
-                                    match fa.fault {
-                                        UnitFault::Slow(k) => barrier = w * k.max(1),
-                                        UnitFault::Stuck => {
-                                            if w > 0 {
-                                                return Err(SimError::StuckUnit {
-                                                    cluster,
-                                                    unit: fa.unit,
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            cycles += barrier + CHUNK_OVERHEAD;
-                            busy += w * busy_units;
-                            chunk_joins += busy_units;
-                            if let Some(h) = &hist_barrier {
-                                // All busy units share the input's popcount;
-                                // idle lanes, the broadcast overhead, and any
-                                // straggler stretch are the intra losses.
-                                tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
-                                tally.unit_underfill += barrier * (units as u64 - busy_units);
-                                tally.chunk_barrier_idle += (barrier - w) * busy_units;
-                                h.record(barrier);
-                            }
-                        }
-                        Sparsity::TwoSided => {
-                            let per_unit: &[Vec<usize>] = if group.per_chunk_cu.is_empty() {
-                                &group.per_cu
-                            } else {
-                                &group.per_chunk_cu[c]
-                            };
-                            let probing = hist_barrier.is_some();
-                            if probing {
-                                unit_scratch.clear();
-                            }
-                            let mut chunk_max = 0u64;
-                            for (u, slots) in per_unit.iter().enumerate() {
-                                let mut w = 0u64;
-                                for &f in slots {
-                                    w += model.chunk_work(ox, oy, f, c) as u64;
-                                }
-                                busy += w;
-                                // The barrier sees the unit's *latency*: its
-                                // true work, stretched for a slow victim.
-                                let mut latency = w;
-                                if let Some(fa) = unit_fault {
-                                    if fa.unit == u {
-                                        match fa.fault {
-                                            UnitFault::Slow(k) => latency = w * k.max(1),
-                                            UnitFault::Stuck => {
-                                                if w > 0 {
-                                                    return Err(SimError::StuckUnit {
-                                                        cluster,
-                                                        unit: u,
-                                                    });
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                chunk_max = chunk_max.max(latency);
-                                chunk_joins += slots.len() as u64;
-                                if probing {
-                                    unit_scratch.push((w, slots.is_empty()));
-                                }
-                            }
-                            cycles += chunk_max + CHUNK_OVERHEAD;
-                            if !group.per_chunk_cu.is_empty() {
-                                permute_values += group.num_filters() as u64;
-                            }
-                            if let Some(h) = &hist_barrier {
-                                tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
-                                for &(w, empty_slot) in &unit_scratch {
-                                    if empty_slot {
-                                        // No filter assigned: idle lane.
-                                        tally.unit_underfill += chunk_max;
-                                    } else if w == 0 {
-                                        // Held filters, but the mask AND
-                                        // came up empty for this chunk.
-                                        tally.empty_mask_and += chunk_max;
-                                    } else {
-                                        tally.chunk_barrier_idle += chunk_max - w;
-                                    }
-                                }
-                                tally.unit_underfill +=
-                                    (units as u64 - per_unit.len() as u64) * chunk_max;
-                                h.record(chunk_max);
-                            }
-                        }
-                    }
-                }
+            model.load_window(p % oh, p / oh, &mut table);
+            if fill {
+                macs += model.fill_joins(&mut table);
             }
-            if let Some(pr) = &probe {
-                if sampled_spans < POSITION_SPAN_LIMIT {
-                    pr.span(
-                        cluster as u32,
-                        "position",
-                        pos_start,
-                        cycles - pos_start,
-                        &[("pos", p as u64)],
-                    );
-                    sampled_spans += 1;
-                }
+            for run in runs.iter_mut().filter(|r| r.failed.is_none()) {
+                run.position(p, &table);
             }
         }
-        cluster_cycles[cluster] = cycles;
-        cluster_busy[cluster] = busy;
-        total_macs += busy;
-        if let Some(pr) = &probe {
+        for run in runs.iter_mut().filter(|r| r.failed.is_none()) {
+            run.end_cluster();
+        }
+    }
+    if fill && runs.iter().any(|r| r.failed.is_none()) {
+        model.store_total_sparse_macs(macs);
+    }
+    runs.into_iter()
+        .map(|run| run.finish(workload, model, config))
+        .collect()
+}
+
+/// A run's unit assignment, flattened for the per-position loop: every
+/// chunk barrier of every group with a busy unit, in simulation order
+/// (group-major, chunk-minor), as `units × depth` join-table indices — each
+/// unit's filters padded to the collocation depth with the table's
+/// always-zero entry, so an idle unit or slot reads zero work.
+struct Schedule {
+    /// Busy units of each scheduled group (the one-sided barrier width).
+    busy_units: Vec<u64>,
+    /// Filters a unit holds at most (1, or the collocation depth).
+    depth: usize,
+    /// The join-table index `f · chunks + c` of each slot.
+    slots: Vec<u32>,
+    /// The index of the join table's always-zero entry.
+    empty: u32,
+    /// Filter slots joined per position (padding excluded).
+    chunk_joins: u64,
+    /// Partial sums routed through the permutation network per position.
+    permutes: u64,
+}
+
+impl Schedule {
+    fn new(balance: &LayerBalance, units: usize, filters: usize, chunks: usize) -> Self {
+        let index = |i: usize| u32::try_from(i).expect("join table fits u32 indices");
+        // Each chunk's per-unit filter lists.
+        fn layouts(g: &GroupAssignment, chunks: usize) -> Vec<&[Vec<usize>]> {
+            if g.per_chunk_cu.is_empty() {
+                vec![&g.per_cu; chunks]
+            } else {
+                g.per_chunk_cu.iter().map(Vec::as_slice).collect()
+            }
+        }
+        let depth = balance
+            .groups
+            .iter()
+            .flat_map(|g| layouts(g, chunks).into_iter().flatten().map(Vec::len))
+            .max()
+            .unwrap_or(0);
+        let mut s = Schedule {
+            busy_units: Vec::new(),
+            depth,
+            slots: Vec::new(),
+            empty: index(filters * chunks),
+            chunk_joins: 0,
+            permutes: 0,
+        };
+        for group in &balance.groups {
+            let busy_units = group.busy_units();
+            if busy_units == 0 {
+                continue;
+            }
+            s.busy_units.push(busy_units as u64);
+            for (c, per_unit) in layouts(group, chunks).into_iter().enumerate() {
+                assert!(per_unit.len() <= units, "more unit slots than units");
+                for u in 0..units {
+                    let held = per_unit.get(u).map_or(&[][..], Vec::as_slice);
+                    s.slots.extend(held.iter().map(|&f| index(f * chunks + c)));
+                    s.slots
+                        .extend(std::iter::repeat_n(s.empty, depth - held.len()));
+                    s.chunk_joins += held.len() as u64;
+                }
+            }
+            if !group.per_chunk_cu.is_empty() {
+                s.permutes += (group.num_filters() * chunks) as u64;
+            }
+        }
+        s
+    }
+}
+
+/// One scheme timed by [`simulate_sparten_pass`]: a sparsity and a balance
+/// assignment, with its own cluster clocks, stall tallies, optional probe
+/// and optional fault.
+pub(crate) struct Run<'a> {
+    sparsity: Sparsity,
+    mode: BalanceMode,
+    schedule: Schedule,
+    chunks: usize,
+    units: u64,
+    fault: Option<&'a UnitFaultSpec>,
+    probe: Option<Probe<'a>>,
+    hist_barrier: Option<Arc<Histogram>>,
+    cluster_cycles: Vec<u64>,
+    cluster_busy: Vec<u64>,
+    chunk_joins: u64,
+    permute_values: u64,
+    failed: Option<SimError>,
+    // The cluster being timed.
+    cluster: usize,
+    unit_fault: Option<&'a UnitFaultSpec>,
+    cycles: u64,
+    busy: u64,
+    tally: StallTally,
+    sampled_spans: usize,
+}
+
+impl<'a> Run<'a> {
+    pub(crate) fn new(
+        model: &MaskModel,
+        config: &SimConfig,
+        sparsity: Sparsity,
+        balance: LayerBalance,
+        tel: Option<&'a Telemetry>,
+        fault: Option<&'a UnitFaultSpec>,
+    ) -> Self {
+        let mode = balance.mode;
+        let probe = tel.map(|t| Probe::new(t, scheme_name(sparsity, mode)));
+        let hist_barrier = probe.as_ref().map(|p| p.histogram("hist.chunk_barrier"));
+        let units = config.accel.cluster.compute_units;
+        let chunks = model.chunks_per_window();
+        let num_clusters = config.accel.num_clusters;
+        Run {
+            sparsity,
+            mode,
+            schedule: Schedule::new(&balance, units, model.shape().num_filters, chunks),
+            chunks,
+            units: units as u64,
+            fault,
+            probe,
+            hist_barrier,
+            cluster_cycles: vec![0; num_clusters],
+            cluster_busy: vec![0; num_clusters],
+            chunk_joins: 0,
+            permute_values: 0,
+            failed: None,
+            cluster: 0,
+            unit_fault: None,
+            cycles: 0,
+            busy: 0,
+            tally: StallTally::default(),
+            sampled_spans: 0,
+        }
+    }
+
+    fn begin_cluster(&mut self, cluster: usize) {
+        self.cluster = cluster;
+        self.unit_fault = self.fault.filter(|f| f.cluster == cluster);
+        self.cycles = 0;
+        self.busy = 0;
+        self.tally = StallTally::default();
+        self.sampled_spans = 0;
+    }
+
+    /// Times output position `p` from its work table.
+    fn position(&mut self, p: usize, table: &WorkTable) {
+        let pos_start = self.cycles;
+        let timed = match self.sparsity {
+            Sparsity::OneSided => self.one_sided(table),
+            Sparsity::TwoSided => self.two_sided(table),
+        };
+        if let Err(e) = timed {
+            self.failed = Some(e);
+            return;
+        }
+        if let Some(pr) = &self.probe {
+            if self.sampled_spans < POSITION_SPAN_LIMIT {
+                pr.span(
+                    self.cluster as u32,
+                    "position",
+                    pos_start,
+                    self.cycles - pos_start,
+                    &[("pos", p as u64)],
+                );
+                self.sampled_spans += 1;
+            }
+        }
+    }
+
+    /// The barrier-visible latency of `w` MACs on the fault's victim unit
+    /// `u`: stretched for a slow victim; a stuck victim holding work fails
+    /// the layer.
+    fn latency(&self, u: usize, w: u64) -> Result<u64, SimError> {
+        match self.unit_fault.map(|fa| fa.fault) {
+            Some(UnitFault::Slow(k)) => Ok(w * k.max(1)),
+            Some(UnitFault::Stuck) if w > 0 => Err(SimError::StuckUnit {
+                cluster: self.cluster,
+                unit: u,
+            }),
+            _ => Ok(w),
+        }
+    }
+
+    fn one_sided(&mut self, table: &WorkTable) -> Result<(), SimError> {
+        let units = self.units;
+        for g in 0..self.schedule.busy_units.len() {
+            let busy_units = self.schedule.busy_units[g];
+            for c in 0..self.chunks {
+                // Every busy unit multiplies the input chunk's non-zeros.
+                let w = table.input(c) as u64;
+                // The broadcast barrier advances at the victim's stretched
+                // latency; useful work is unchanged.
+                let barrier = match self.unit_fault {
+                    Some(fa) if (fa.unit as u64) < busy_units => self.latency(fa.unit, w)?,
+                    _ => w,
+                };
+                self.cycles += barrier + CHUNK_OVERHEAD;
+                self.busy += w * busy_units;
+                if let Some(h) = &self.hist_barrier {
+                    // All busy units share the input's popcount; idle lanes,
+                    // the broadcast overhead, and any straggler stretch are
+                    // the intra losses.
+                    self.tally.prefix_encoder_wait += CHUNK_OVERHEAD * units;
+                    self.tally.unit_underfill += barrier * (units - busy_units);
+                    self.tally.chunk_barrier_idle += (barrier - w) * busy_units;
+                    h.record(barrier);
+                }
+            }
+            self.chunk_joins += busy_units * self.chunks as u64;
+        }
+        Ok(())
+    }
+
+    fn two_sided(&mut self, table: &WorkTable) -> Result<(), SimError> {
+        // Constant depths let the unit loop unroll; each arm instantiates
+        // the same loop.
+        match self.schedule.depth {
+            1 => self.time_barriers(table.joins(), 1),
+            2 => self.time_barriers(table.joins(), 2),
+            depth => self.time_barriers(table.joins(), depth),
+        }
+    }
+
+    /// Times the schedule's chunk barriers, each unit holding `depth` slots.
+    #[inline(always)]
+    fn time_barriers(&mut self, joins: &[u16], depth: usize) -> Result<(), SimError> {
+        let work = |held: &[u32]| -> u64 { held.iter().map(|&i| joins[i as usize] as u64).sum() };
+        let (mut cycles, mut busy) = (0u64, 0u64);
+        let width = self.units as usize * depth;
+        for barrier in self.schedule.slots.chunks_exact(width) {
+            let mut chunk_max = 0u64;
+            for held in barrier.chunks_exact(depth) {
+                let w = work(held);
+                busy += w;
+                chunk_max = chunk_max.max(w);
+            }
+            // The barrier sees each unit's *latency*: its true work,
+            // stretched for a slow victim.
+            if let Some(fa) = self.unit_fault {
+                if let Some(held) = barrier.chunks_exact(depth).nth(fa.unit) {
+                    chunk_max = chunk_max.max(self.latency(fa.unit, work(held))?);
+                }
+            }
+            cycles += chunk_max + CHUNK_OVERHEAD;
+            if let Some(h) = &self.hist_barrier {
+                let t = &mut self.tally;
+                t.prefix_encoder_wait += CHUNK_OVERHEAD * self.units;
+                for held in barrier.chunks_exact(depth) {
+                    let w = work(held);
+                    if held[0] == self.schedule.empty {
+                        // No filter assigned: idle lane.
+                        t.unit_underfill += chunk_max;
+                    } else if w == 0 {
+                        // Held filters, but the mask AND came up empty
+                        // for this chunk.
+                        t.empty_mask_and += chunk_max;
+                    } else {
+                        t.chunk_barrier_idle += chunk_max - w;
+                    }
+                }
+                h.record(chunk_max);
+            }
+        }
+        self.cycles += cycles;
+        self.busy += busy;
+        self.chunk_joins += self.schedule.chunk_joins;
+        self.permute_values += self.schedule.permutes;
+        Ok(())
+    }
+
+    fn end_cluster(&mut self) {
+        let (cluster, cycles, busy) = (self.cluster, self.cycles, self.busy);
+        self.cluster_cycles[cluster] = cycles;
+        self.cluster_busy[cluster] = busy;
+        if let Some(pr) = &self.probe {
             pr.thread(cluster as u32, &format!("cluster{cluster}"));
             pr.span(cluster as u32, "cluster", 0, cycles, &[("busy", busy)]);
             if cycles > 0 {
                 pr.gauge(
                     "occupancy.cluster_util",
-                    busy as f64 / (cycles * units as u64) as f64,
+                    busy as f64 / (cycles * self.units) as f64,
                 );
             }
-            tally.emit(pr);
-            debug_assert_eq!(tally.intra(), cycles * units as u64 - busy);
+            self.tally.emit(pr);
+            debug_assert_eq!(self.tally.intra(), cycles * self.units - busy);
         }
     }
 
-    let makespan = cluster_cycles.iter().copied().max().unwrap_or(0);
-    let total_units = (units * num_clusters) as u64;
+    fn finish(
+        self,
+        workload: &Workload,
+        model: &MaskModel,
+        config: &SimConfig,
+    ) -> Result<SimResult, SimError> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        let shape = &workload.shape;
+        let (sparsity, units) = (self.sparsity, self.units);
+        let num_clusters = self.cluster_cycles.len();
+        let positions = shape.out_height() * shape.out_width();
+        let total_macs: u64 = self.cluster_busy.iter().sum(); // MACs the datapath executes
+        let makespan = self.cluster_cycles.iter().copied().max().unwrap_or(0);
+        let total_units = units * num_clusters as u64;
 
-    // Useful (both-non-zero) MACs: equal to the executed MACs for two-sided;
-    // for one-sided the gap is zero computation.
-    let nonzero_macs = match sparsity {
-        Sparsity::TwoSided => total_macs,
-        Sparsity::OneSided => model.total_sparse_macs(),
-    };
-    let zero_macs = total_macs - nonzero_macs;
+        // Useful (both-non-zero) MACs: equal to the executed MACs for
+        // two-sided; for one-sided the gap is zero computation.
+        let nonzero_macs = match sparsity {
+            Sparsity::TwoSided => total_macs,
+            Sparsity::OneSided => model.total_sparse_macs(),
+        };
+        let zero_macs = total_macs - nonzero_macs;
 
-    // Intra: within each cluster, barrier slots minus that cluster's busy
-    // slots. Inter: slack of faster clusters against the makespan.
-    let mut intra = 0u64;
-    let mut inter = 0u64;
-    for c in 0..num_clusters {
-        intra += cluster_cycles[c] * units as u64 - cluster_busy[c];
-        inter += (makespan - cluster_cycles[c]) * units as u64;
+        // Intra: within each cluster, barrier slots minus that cluster's
+        // busy slots. Inter: slack of faster clusters against the makespan.
+        let mut intra = 0u64;
+        let mut inter = 0u64;
+        for c in 0..num_clusters {
+            intra += self.cluster_cycles[c] * units - self.cluster_busy[c];
+            inter += (makespan - self.cluster_cycles[c]) * units;
+        }
+
+        let traffic = sparten_traffic(workload, model, config, sparsity);
+        let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+
+        if let Some(pr) = &self.probe {
+            pr.work(nonzero_macs, zero_macs);
+            pr.stall(StallCause::ClusterIdle, inter);
+            // Registered at zero: the analytic model assumes a perfect
+            // output collector, but the taxonomy slot stays visible in
+            // reports.
+            pr.stall(StallCause::OutputBackpressure, 0);
+            pr.traffic(&traffic);
+            pr.count("trace.chunk_joins", self.chunk_joins);
+            pr.gauge("occupancy.makespan_cycles", makespan as f64);
+        }
+
+        let prefix_per_join = match sparsity {
+            Sparsity::OneSided => 1,
+            Sparsity::TwoSided => 2,
+        };
+        Ok(SimResult {
+            scheme: scheme_name(sparsity, self.mode),
+            compute_cycles: makespan,
+            memory_cycles,
+            total_units,
+            breakdown: Breakdown {
+                nonzero: nonzero_macs,
+                zero: zero_macs,
+                intra,
+                inter,
+            },
+            traffic,
+            ops: OpCounts {
+                macs_nonzero: nonzero_macs,
+                macs_zero: zero_macs,
+                buffer_accesses: 3 * total_macs,
+                prefix_ops: prefix_per_join * self.chunk_joins,
+                encoder_ops: total_macs,
+                permute_values: self.permute_values,
+                compact_ops: (positions * shape.num_filters) as u64,
+                crossbar_ops: 0,
+            },
+        })
     }
-
-    let traffic = sparten_traffic(workload, model, config, sparsity);
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
-
-    if let Some(pr) = &probe {
-        pr.work(nonzero_macs, zero_macs);
-        pr.stall(StallCause::ClusterIdle, inter);
-        // Registered at zero: the analytic model assumes a perfect output
-        // collector, but the taxonomy slot stays visible in reports.
-        pr.stall(StallCause::OutputBackpressure, 0);
-        pr.traffic(&traffic);
-        pr.count("trace.chunk_joins", chunk_joins);
-        pr.gauge("occupancy.makespan_cycles", makespan as f64);
-    }
-
-    let prefix_per_join = match sparsity {
-        Sparsity::OneSided => 1,
-        Sparsity::TwoSided => 2,
-    };
-    Ok(SimResult {
-        scheme: scheme_name(sparsity, mode),
-        compute_cycles: makespan,
-        memory_cycles,
-        total_units,
-        breakdown: Breakdown {
-            nonzero: nonzero_macs,
-            zero: zero_macs,
-            intra,
-            inter,
-        },
-        traffic,
-        ops: OpCounts {
-            macs_nonzero: nonzero_macs,
-            macs_zero: zero_macs,
-            buffer_accesses: 3 * total_macs,
-            prefix_ops: prefix_per_join * chunk_joins,
-            encoder_ops: total_macs,
-            permute_values,
-            compact_ops: (positions * shape.num_filters) as u64,
-            crossbar_ops: 0,
-        },
-    })
 }
 
 fn scheme_name(sparsity: Sparsity, mode: BalanceMode) -> &'static str {

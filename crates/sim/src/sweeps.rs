@@ -11,7 +11,7 @@ use sparten_nn::ConvShape;
 
 use crate::breakdown::SimResult;
 use crate::config::SimConfig;
-use crate::runner::{simulate_layer, Scheme};
+use crate::runner::{simulate_layer, simulate_schemes, Scheme};
 use crate::workmodel::MaskModel;
 
 /// One point of a density sweep.
@@ -49,10 +49,7 @@ pub fn density_sweep(
             let model = MaskModel::new(&w, config.accel.cluster.chunk_size);
             DensityPoint {
                 density,
-                results: schemes
-                    .iter()
-                    .map(|&s| simulate_layer(&w, &model, config, s))
-                    .collect(),
+                results: simulate_schemes(&w, &model, config, schemes),
             }
         })
         .collect()

@@ -153,9 +153,12 @@ pub fn trace_cluster_telemetry(
     let mut useful_slots = 0u64;
     let mut barrier_slots = 0u64;
 
+    let mut table = model.work_table();
+    let mut unit_work = vec![0u32; units];
     let mut events = Vec::new();
     for p in 0..positions {
-        let (ox, oy) = (p % oh, p / oh);
+        model.load_window(p % oh, p / oh, &mut table);
+        model.fill_joins(&mut table);
         for (g, group) in balance.groups.iter().enumerate() {
             for c in 0..chunks {
                 let per_unit: &[Vec<usize>] = if group.per_chunk_cu.is_empty() {
@@ -163,11 +166,9 @@ pub fn trace_cluster_telemetry(
                 } else {
                     &group.per_chunk_cu[c]
                 };
-                let mut unit_work = vec![0u32; units];
+                unit_work.fill(0);
                 for (u, slots) in per_unit.iter().enumerate() {
-                    for &f in slots {
-                        unit_work[u] += model.chunk_work(ox, oy, f, c);
-                    }
+                    unit_work[u] = slots.iter().map(|&f| table.join(f, c)).sum();
                 }
                 let barrier = unit_work.iter().copied().max().unwrap_or(0);
                 if let Some(pr) = &probe {
@@ -193,7 +194,7 @@ pub fn trace_cluster_telemetry(
                     position: p,
                     group: g,
                     chunk: c,
-                    unit_work,
+                    unit_work: unit_work.clone(),
                     barrier,
                 });
             }

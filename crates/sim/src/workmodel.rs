@@ -5,9 +5,15 @@
 //! MAC count for that chunk. Doing this through the functional engine (which
 //! also multiplies values) would be needlessly slow at AlexNet/VGG scale, so
 //! this model precomputes the input's per-fiber masks and every filter's
-//! per-tap masks as packed `u64` words; a chunk's work is then a couple of
-//! `AND` + `popcount` word operations. Integration tests verify the model
-//! against the exact engine traces on small layers.
+//! per-tap masks as packed `u64` words.
+//!
+//! Work is produced one output position at a time, the way a cluster sees
+//! it (§3.2): [`MaskModel::load_window`] gathers the position's k² input
+//! fibers into one contiguous, chunk-major [`WorkTable`] window, and
+//! [`MaskModel::fill_joins`] ANDs that window with every filter in one
+//! streaming pass, leaving a `filters × chunks` table of join work that
+//! every scheme timed at that position reads. Integration tests verify the
+//! table against the exact engine traces on small layers.
 
 use std::sync::OnceLock;
 
@@ -37,12 +43,51 @@ pub struct MaskModel {
     words_per_chunk: usize,
     /// `input_words[(x + h·y) · words_per_fiber ..]` = padded fiber mask.
     input_words: Vec<u64>,
-    /// `filter_words[((f·k² + tap) · words_per_fiber) ..]`, tap = fy·k + fx.
+    /// `filter_words[((f·k² + tap) · words_per_fiber) ..]`, tap = fy·k + fx;
+    /// equivalently `(f · chunks_per_window + c) · words_per_chunk`.
     filter_words: Vec<u64>,
     input_nnz: u64,
     weight_nnz: u64,
-    zero_fiber: Vec<u64>,
     total_macs_cache: OnceLock<u64>,
+}
+
+/// One output position's work: its input window and the join work of every
+/// (filter, chunk) pair against it. Built by [`MaskModel::work_table`] and
+/// refilled per position, so a simulator allocates it once per layer.
+#[derive(Debug, Clone)]
+pub struct WorkTable {
+    chunks: usize,
+    words_per_chunk: usize,
+    /// The k² input fibers, tap-major, so chunk `c` is the words
+    /// `c · words_per_chunk ..`; padded taps are all-zero.
+    window: Vec<u64>,
+    /// `input[c]` = popcount of window chunk `c` (one-sided work).
+    input: Vec<u16>,
+    /// `joins[f · chunks + c]` = two-sided work of filter `f`'s chunk `c`;
+    /// one trailing entry, `joins[filters · chunks]`, is always zero.
+    joins: Vec<u16>,
+}
+
+impl WorkTable {
+    /// One-sided work of chunk `c`: the input chunk's popcount (every
+    /// non-zero input is multiplied when filters stay dense).
+    #[inline]
+    pub fn input(&self, c: usize) -> u32 {
+        self.input[c] as u32
+    }
+
+    /// Two-sided join work (MACs) of filter `f`'s chunk `c`. Chunk indices
+    /// are tap-major: `c = tap · chunks_per_fiber + sub`.
+    #[inline]
+    pub fn join(&self, f: usize, c: usize) -> u32 {
+        self.joins[f * self.chunks + c] as u32
+    }
+
+    /// The join table, indexed `f · chunks_per_window + c`, with the
+    /// always-zero entry at `filters · chunks_per_window`.
+    pub(crate) fn joins(&self) -> &[u16] {
+        &self.joins
+    }
 }
 
 impl MaskModel {
@@ -50,11 +95,16 @@ impl MaskModel {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size` is not a positive multiple of 64.
+    /// Panics if `chunk_size` is not a positive multiple of 64, or exceeds
+    /// `u16::MAX` (a [`WorkTable`] entry holds one chunk's work).
     pub fn new(workload: &Workload, chunk_size: usize) -> Self {
         assert!(
             chunk_size > 0 && chunk_size.is_multiple_of(64),
             "chunk size must be a positive multiple of 64"
+        );
+        assert!(
+            chunk_size <= u16::MAX as usize,
+            "chunk size must fit a u16 work-table entry"
         );
         let shape = workload.shape;
         let d = shape.in_channels;
@@ -106,7 +156,6 @@ impl MaskModel {
             filter_words,
             input_nnz,
             weight_nnz,
-            zero_fiber: vec![0u64; words_per_fiber],
             total_macs_cache: OnceLock::new(),
         }
     }
@@ -136,82 +185,91 @@ impl MaskModel {
         self.weight_nnz
     }
 
-    /// Input fiber mask words for the tap `(tap_x, tap_y)` of output
-    /// `(ox, oy)`; the all-zero fiber when the tap is out of bounds.
-    #[inline]
-    fn tap_fiber(&self, ox: usize, oy: usize, tap_x: usize, tap_y: usize) -> &[u64] {
-        let ix = (ox * self.shape.stride + tap_x) as isize - self.shape.pad as isize;
-        let iy = (oy * self.shape.stride + tap_y) as isize - self.shape.pad as isize;
-        if ix < 0
-            || iy < 0
-            || ix as usize >= self.shape.in_height
-            || iy as usize >= self.shape.in_width
-        {
-            &self.zero_fiber
-        } else {
-            let base = (ix as usize + self.shape.in_height * iy as usize) * self.words_per_fiber;
-            &self.input_words[base..base + self.words_per_fiber]
+    /// An empty work table sized for this layer.
+    pub fn work_table(&self) -> WorkTable {
+        let chunks = self.chunks_per_window();
+        WorkTable {
+            chunks,
+            words_per_chunk: self.words_per_chunk,
+            window: vec![0u64; chunks * self.words_per_chunk],
+            input: vec![0u16; chunks],
+            joins: vec![0u16; self.shape.num_filters * chunks + 1],
         }
     }
 
-    /// Two-sided join work (MACs) of chunk `c` for output `(ox, oy)` and
-    /// filter `f`. Chunk indices are tap-major: `c = tap · chunks_per_fiber
-    /// + sub`.
-    #[inline]
-    pub fn chunk_work(&self, ox: usize, oy: usize, f: usize, c: usize) -> u32 {
-        let k = self.shape.kernel;
-        let (tap, sub) = (c / self.chunks_per_fiber, c % self.chunks_per_fiber);
-        let (tap_y, tap_x) = (tap / k, tap % k);
-        let fiber = self.tap_fiber(ox, oy, tap_x, tap_y);
-        let fbase = (f * k * k + tap) * self.words_per_fiber + sub * self.words_per_chunk;
-        let ibase = sub * self.words_per_chunk;
-        and_popcount_words(
-            &fiber[ibase..ibase + self.words_per_chunk],
-            &self.filter_words[fbase..fbase + self.words_per_chunk],
-        )
+    /// Gathers the input window of output `(ox, oy)` into `table` and sets
+    /// its one-sided work. The join table is left stale until
+    /// [`MaskModel::fill_joins`].
+    pub fn load_window(&self, ox: usize, oy: usize, table: &mut WorkTable) {
+        let s = &self.shape;
+        let wpf = self.words_per_fiber;
+        for (tap, dst) in table.window.chunks_exact_mut(wpf).enumerate() {
+            let (tap_y, tap_x) = (tap / s.kernel, tap % s.kernel);
+            let ix = (ox * s.stride + tap_x).checked_sub(s.pad);
+            let iy = (oy * s.stride + tap_y).checked_sub(s.pad);
+            match (ix, iy) {
+                (Some(ix), Some(iy)) if ix < s.in_height && iy < s.in_width => {
+                    let base = (ix + s.in_height * iy) * wpf;
+                    dst.copy_from_slice(&self.input_words[base..base + wpf]);
+                }
+                _ => dst.fill(0),
+            }
+        }
+        for (n, chunk) in table
+            .input
+            .iter_mut()
+            .zip(table.window.chunks_exact(self.words_per_chunk))
+        {
+            *n = popcount_words(chunk) as u16;
+        }
     }
 
-    /// One-sided work of chunk `c` for output `(ox, oy)`: the input chunk's
-    /// popcount (every non-zero input is multiplied when filters stay dense).
-    #[inline]
-    pub fn onesided_chunk_work(&self, ox: usize, oy: usize, c: usize) -> u32 {
-        let k = self.shape.kernel;
-        let (tap, sub) = (c / self.chunks_per_fiber, c % self.chunks_per_fiber);
-        let (tap_y, tap_x) = (tap / k, tap % k);
-        let fiber = self.tap_fiber(ox, oy, tap_x, tap_y);
-        let ibase = sub * self.words_per_chunk;
-        popcount_words(&fiber[ibase..ibase + self.words_per_chunk])
-    }
-
-    /// Two-sided join work of a whole window for filter `f`.
-    pub fn window_work(&self, ox: usize, oy: usize, f: usize) -> u64 {
-        (0..self.chunks_per_window())
-            .map(|c| self.chunk_work(ox, oy, f, c) as u64)
-            .sum()
-    }
-
-    /// One-sided work of a whole window (independent of the filter).
-    pub fn onesided_window_work(&self, ox: usize, oy: usize) -> u64 {
-        (0..self.chunks_per_window())
-            .map(|c| self.onesided_chunk_work(ox, oy, c) as u64)
-            .sum()
+    /// Fills `table`'s join work from its loaded window — every (filter,
+    /// chunk) pair in one streaming pass over the filter masks — and
+    /// returns the position's total two-sided MACs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` was not built by this model's
+    /// [`MaskModel::work_table`].
+    pub fn fill_joins(&self, table: &mut WorkTable) -> u64 {
+        assert!(
+            table.words_per_chunk == self.words_per_chunk
+                && table.joins.len() == self.shape.num_filters * self.chunks_per_window() + 1,
+            "work table built for another layer"
+        );
+        let (window, joins) = (&table.window, &mut table.joins);
+        // Constant widths let the chunk loop unroll; each arm instantiates
+        // the same loop.
+        match self.words_per_chunk {
+            1 => join_rows(window, &self.filter_words, joins, 1),
+            2 => join_rows(window, &self.filter_words, joins, 2),
+            4 => join_rows(window, &self.filter_words, joins, 4),
+            wpc => join_rows(window, &self.filter_words, joins, wpc),
+        }
     }
 
     /// Total two-sided MACs of the layer — the true sparse compute volume.
-    /// Cached after the first call (several simulators share it).
+    /// Computed once: a SparTen simulation pass that fills every join table
+    /// stores it, otherwise the first call sums the join tables itself.
     pub fn total_sparse_macs(&self) -> u64 {
         *self.total_macs_cache.get_or_init(|| {
+            let mut table = self.work_table();
             let (oh, ow) = (self.shape.out_height(), self.shape.out_width());
             let mut total = 0u64;
-            for oy in 0..ow {
-                for ox in 0..oh {
-                    for f in 0..self.shape.num_filters {
-                        total += self.window_work(ox, oy, f);
-                    }
-                }
+            for p in 0..oh * ow {
+                self.load_window(p % oh, p / oh, &mut table);
+                total += self.fill_joins(&mut table);
             }
             total
         })
+    }
+
+    /// Records the layer's total two-sided MACs, summed by a simulation
+    /// pass from the same join tables [`MaskModel::total_sparse_macs`] sums.
+    pub(crate) fn store_total_sparse_macs(&self, total: u64) {
+        let stored = *self.total_macs_cache.get_or_init(|| total);
+        debug_assert_eq!(stored, total, "two passes disagree on the MAC total");
     }
 
     /// Non-zero weights of filter `f` alone.
@@ -256,6 +314,31 @@ impl MaskModel {
     }
 }
 
+/// The join loop: `joins[f · chunks + c]` = popcount of window chunk `c`
+/// ANDed with filter `f`'s chunk `c`, for every filter. `filter_words` holds
+/// one window-sized row per filter in the window's own chunk order, so the
+/// loop streams both without index arithmetic. Returns the table's sum.
+#[inline(always)]
+fn join_rows(window: &[u64], filter_words: &[u64], joins: &mut [u16], wpc: usize) -> u64 {
+    let chunks = window.len() / wpc;
+    let mut total = 0u64;
+    for (row, out) in filter_words
+        .chunks_exact(window.len())
+        .zip(joins.chunks_exact_mut(chunks))
+    {
+        for ((w, f), o) in window
+            .chunks_exact(wpc)
+            .zip(row.chunks_exact(wpc))
+            .zip(out.iter_mut())
+        {
+            let n = and_popcount_words(w, f);
+            *o = n as u16;
+            total += n as u64;
+        }
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +347,14 @@ mod tests {
     fn small_workload() -> Workload {
         let shape = ConvShape::new(70, 6, 6, 3, 5, 1, 1);
         workload(&shape, 0.5, 0.4, 7)
+    }
+
+    /// The work table at output `(ox, oy)`.
+    fn table_at(m: &MaskModel, ox: usize, oy: usize) -> WorkTable {
+        let mut t = m.work_table();
+        m.load_window(ox, oy, &mut t);
+        m.fill_joins(&mut t);
+        t
     }
 
     #[test]
@@ -275,25 +366,53 @@ mod tests {
         assert_eq!(m.weight_nnz() as usize, wn);
     }
 
+    /// The work table against the functional engine's chunk joins at every
+    /// (position, filter, chunk), padded borders included, across chunk
+    /// sizes, strides and pads on a depth no chunk size divides. One table
+    /// is reused across positions, as the simulators reuse it.
     #[test]
     fn chunk_work_matches_functional_chunks() {
         use sparten_core::chunking::{filter_to_chunks, linearize_window_padded};
         use sparten_tensor::SparseVector;
-        let w = small_workload();
-        let chunk_size = 64;
-        let m = MaskModel::new(&w, chunk_size);
-        for (ox, oy) in [(0, 0), (2, 3), (3, 3)] {
-            let win = linearize_window_padded(&w.input, ox, oy, 3, 1, 1, chunk_size);
-            let win = SparseVector::from_dense(&win, chunk_size);
-            for f in 0..w.filters.len() {
-                let fc = filter_to_chunks(&w.filters[f], chunk_size);
-                for c in 0..m.chunks_per_window() {
-                    let expect = win.chunks()[c].join_work(&fc.chunks()[c]) as u32;
-                    assert_eq!(
-                        m.chunk_work(ox, oy, f, c),
-                        expect,
-                        "mismatch at pos ({ox},{oy}), filter {f}, chunk {c}"
-                    );
+        for (i, chunk_size) in [64, 128, 256, 512].into_iter().enumerate() {
+            for stride in [1, 2, 4] {
+                for pad in 0..=2 {
+                    // Height ≠ width, so a swapped axis cannot pass.
+                    let shape = ConvShape::new(200, 7, 9, 3, 3, stride, pad);
+                    let seed = (i * 100 + stride * 10 + pad) as u64;
+                    let w = workload(&shape, 0.6, 0.5, seed);
+                    let m = MaskModel::new(&w, chunk_size);
+                    let filters: Vec<SparseVector> = w
+                        .filters
+                        .iter()
+                        .map(|f| filter_to_chunks(f, chunk_size))
+                        .collect();
+                    let mut t = m.work_table();
+                    let mut total = 0u64;
+                    for oy in 0..shape.out_width() {
+                        for ox in 0..shape.out_height() {
+                            m.load_window(ox, oy, &mut t);
+                            total += m.fill_joins(&mut t);
+                            let win = linearize_window_padded(
+                                &w.input, ox, oy, 3, stride, pad, chunk_size,
+                            );
+                            let win = SparseVector::from_dense(&win, chunk_size);
+                            assert_eq!(win.chunks().len(), m.chunks_per_window());
+                            let at =
+                                format!("chunk {chunk_size} stride {stride} pad {pad} ({ox},{oy})");
+                            for (c, ic) in win.chunks().iter().enumerate() {
+                                assert_eq!(t.input(c) as usize, ic.nnz(), "input {at} chunk {c}");
+                                for (f, fc) in filters.iter().enumerate() {
+                                    assert_eq!(
+                                        t.join(f, c) as usize,
+                                        ic.join_work(&fc.chunks()[c]),
+                                        "join {at} filter {f} chunk {c}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    assert_eq!(total, m.total_sparse_macs());
                 }
             }
         }
@@ -303,9 +422,10 @@ mod tests {
     fn onesided_work_at_least_twosided() {
         let w = small_workload();
         let m = MaskModel::new(&w, 64);
+        let t = table_at(&m, 1, 1);
         for f in 0..w.filters.len() {
             for c in 0..m.chunks_per_window() {
-                assert!(m.onesided_chunk_work(1, 1, c) >= m.chunk_work(1, 1, f, c));
+                assert!(t.input(c) >= t.join(f, c));
             }
         }
     }
@@ -336,7 +456,9 @@ mod tests {
         let w = small_workload();
         let m = MaskModel::new(&w, 64);
         // Output (0,0) with pad 1: tap (0,0) reads input (-1,-1) → OOB.
-        assert_eq!(m.onesided_chunk_work(0, 0, 0), 0);
+        let t = table_at(&m, 0, 0);
+        assert_eq!(t.input(0), 0);
+        assert!((0..w.filters.len()).all(|f| t.join(f, 0) == 0));
     }
 
     #[test]

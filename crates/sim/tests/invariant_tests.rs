@@ -12,6 +12,9 @@
 //!    decomposition satisfies `nonzero + zero + intra + inter ==
 //!    compute_cycles × total_units` (the invariant Figures 10–12 rely on
 //!    for their normalized stacked bars).
+//! 3. **One pass equals one scheme at a time** — `simulate_schemes`, which
+//!    times every SparTen-family scheme from one shared pass, returns
+//!    exactly what `simulate_layer` returns per scheme.
 //!
 //! The sweep is seeded and deterministic; `exhaustive-tests` widens it.
 
@@ -20,7 +23,7 @@ use sparten_core::chunking::{filter_to_chunks, linearize_window_padded};
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::ConvShape;
 use sparten_sim::cambricon::simulate_cambricon;
-use sparten_sim::{simulate_layer, MaskModel, Scheme, SimConfig};
+use sparten_sim::{simulate_layer, simulate_schemes, MaskModel, Scheme, SimConfig};
 use sparten_tensor::{Rng64, SparseVector};
 
 fn sweep_cases(default: usize, exhaustive: usize) -> usize {
@@ -75,10 +78,13 @@ fn fast_join_mac_count_equals_dense_reference() {
             .iter()
             .map(|f| filter_to_chunks(f, chunk_size))
             .collect();
+        let mut table = model.work_table();
         // Sample a few output positions rather than the full plane.
         for _ in 0..3 {
             let ox = rng.gen_range_usize(0, shape.out_height());
             let oy = rng.gen_range_usize(0, shape.out_width());
+            model.load_window(ox, oy, &mut table);
+            model.fill_joins(&mut table);
             let win = linearize_window_padded(
                 &w.input,
                 ox,
@@ -97,9 +103,11 @@ fn fast_join_mac_count_equals_dense_reference() {
                 }
                 let expect = dense_reference_macs(&w, ox, oy, f);
                 assert_eq!(join_macs, expect, "fast_join vs dense reference");
+                let window_work: u32 = (0..model.chunks_per_window())
+                    .map(|c| table.join(f, c))
+                    .sum();
                 assert_eq!(
-                    model.window_work(ox, oy, f) as usize,
-                    expect,
+                    window_work as usize, expect,
                     "mask model vs dense reference"
                 );
             }
@@ -144,5 +152,53 @@ fn breakdown_accounting_identity_holds_across_simulators() {
             cambricon.sim.compute_cycles,
             cambricon.sim.total_units
         );
+    }
+}
+
+#[test]
+fn one_pass_matches_per_scheme_simulation() {
+    let mut rng = Rng64::seed_from_u64(0x0A55);
+    let mut config = SimConfig::small();
+    config.accel.num_clusters = 3;
+    config.accel.cluster.compute_units = 4;
+    let units = config.accel.cluster.compute_units;
+    let all = Scheme::all();
+    let reversed: Vec<Scheme> = all.iter().rev().copied().collect();
+    let repeated = [
+        Scheme::SpartenGbH,
+        Scheme::OneSided,
+        Scheme::SpartenGbH,
+        Scheme::Dense,
+        Scheme::SpartenGbH,
+    ];
+    for _ in 0..sweep_cases(4, 40) {
+        // A filter count that leaves the last group partial both with one
+        // filter per unit and with two collocated.
+        let filters = 2 * units * rng.gen_range_usize(1, 3) + rng.gen_range_usize(1, units);
+        let side = 5 + rng.gen_range_usize(0, 4);
+        let channels = rng.gen_range_usize(40, 300);
+        let shape = ConvShape::new(channels, side, side + 1, 3, filters, 1, 1);
+        let density = rng.gen_range_f64(0.2, 0.7);
+        let w = workload(&shape, density, rng.gen_range_f64(0.2, 0.7), rng.next_u64());
+        let chunk = config.accel.cluster.chunk_size;
+        let reference = MaskModel::new(&w, chunk);
+        let expect = |list: &[Scheme]| -> Vec<_> {
+            list.iter()
+                .map(|&s| simulate_layer(&w, &reference, &config, s))
+                .collect()
+        };
+        for list in [&all[..], &reversed, &repeated] {
+            let model = MaskModel::new(&w, chunk);
+            let got = simulate_schemes(&w, &model, &config, list);
+            assert_eq!(got, expect(list), "{list:?} on {shape:?}");
+            // The total the pass stored equals a fresh model's own sum,
+            // and every two-sided run's busy total.
+            let total = model.total_sparse_macs();
+            assert_eq!(total, MaskModel::new(&w, chunk).total_sparse_macs());
+            for r in got.iter().filter(|r| r.scheme.starts_with("SparTen")) {
+                let busy = r.breakdown.nonzero + r.breakdown.zero;
+                assert_eq!(busy, total, "{}", r.scheme);
+            }
+        }
     }
 }
