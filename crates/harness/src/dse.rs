@@ -72,9 +72,9 @@ impl Experiment for DseExperiment {
         PointPayload::Record(self.grid.batch_record(point))
     }
 
-    fn validate(&self, _point: usize, payload: &PointPayload) -> bool {
+    fn validate(&self, point: usize, payload: &PointPayload) -> bool {
         match payload {
-            PointPayload::Record(blob) => sparten_model::dse::parse_record(blob).is_ok(),
+            PointPayload::Record(blob) => self.grid.check_record(point, blob).is_ok(),
             PointPayload::Capture(_) => false,
         }
     }
@@ -162,6 +162,7 @@ fn points_json(points: &[DsePoint], total_configs: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparten_model::dse::MODEL_VERSION;
 
     #[test]
     fn quick_experiment_shape() {
@@ -182,6 +183,36 @@ mod tests {
         assert!(capture.text.contains("Pareto frontier"));
         assert_eq!(capture.artifacts.len(), 2);
         assert!(capture.artifacts[0].0.ends_with("dse-quick_frontier.json"));
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_batch_7_header_as_any_point() {
+        let e = DseExperiment::quick();
+        let blob = format!("dse-batch {MODEL_VERSION} batch=7 lo=3584 hi=4096\n");
+        assert!(!e.validate(0, &PointPayload::Record(blob.clone())));
+        assert!(!e.validate(7, &PointPayload::Record(blob)));
+    }
+
+    #[test]
+    fn validate_rejects_malformed_lines_under_a_good_header() {
+        let e = DseExperiment::quick();
+        for line in [
+            "key n=512",
+            "key n=1 n=2 n=3 n=4 n=5",
+            "n=512 cycles=1 macs=2 energy=3 membound=0",
+        ] {
+            let blob = format!("dse-batch {MODEL_VERSION} batch=0 lo=0 hi=512\n{line}\n");
+            assert!(!e.validate(0, &PointPayload::Record(blob)), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_another_points_record() {
+        let e = DseExperiment::quick();
+        let p1 = e.compute_point(1);
+        assert!(e.validate(1, &p1));
+        assert!(!e.validate(0, &p1));
+        assert!(!e.validate(2, &p1));
     }
 
     #[test]

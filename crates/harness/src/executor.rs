@@ -367,6 +367,9 @@ struct JobState {
     dependents: Vec<usize>,
     pending_points: usize,
     points: Vec<Option<PointPayload>>,
+    /// Each scheduled point's cache key, computed once at schedule time
+    /// and reused when the computed point is written back.
+    keys: Vec<u64>,
     telemetry: Vec<Option<Telemetry>>,
     cache_hits: usize,
     compute_time: Duration,
@@ -421,6 +424,7 @@ pub fn run(experiments: &[Arc<dyn Experiment>], opts: &RunOptions) -> Result<Run
             dependents: Vec::new(),
             pending_points: e.num_points(),
             points: vec![None; e.num_points()],
+            keys: vec![0; e.num_points()],
             telemetry: (0..e.num_points()).map(|_| None).collect(),
             cache_hits: 0,
             compute_time: Duration::ZERO,
@@ -437,7 +441,9 @@ pub fn run(experiments: &[Arc<dyn Experiment>], opts: &RunOptions) -> Result<Run
         }
     }
 
-    // The run's journaled identity: what a later resume must match.
+    // The run's journaled identity: what a later resume must match. Its
+    // fingerprints are the only `fingerprint()` calls of the run: the
+    // scheduler keys the cache with them.
     let want_telemetry = opts.telemetry_dir.is_some();
     // Per-point simulator sessions are collected for *either* consumer:
     // telemetry exports (per-job files) or the shared trace sink (one
@@ -555,7 +561,7 @@ pub fn run(experiments: &[Arc<dyn Experiment>], opts: &RunOptions) -> Result<Run
             telemetry: want_telemetry,
             seed: crate::SEED,
             registry_fp,
-            jobs: journal_jobs,
+            jobs: journal_jobs.clone(),
             trace: opts.trace.map(|t| t.trace_hex()),
         };
         journal = Some(
@@ -693,12 +699,13 @@ pub fn run(experiments: &[Arc<dyn Experiment>], opts: &RunOptions) -> Result<Run
                     cache_stats: &mut CacheStats|
      -> bool {
         let exp = &selected[job];
-        let fp = exp.fingerprint();
+        let fp = &journal_jobs[job].fingerprint;
         for point in 0..exp.num_points() {
             if states[job].points[point].is_some() {
                 continue; // replayed from the resume journal
             }
-            let key = Cache::key(exp.name(), &fp, crate::SEED, point);
+            let key = Cache::key(exp.name(), fp, crate::SEED, point);
+            states[job].keys[point] = key;
             let hit = if use_cache {
                 match cache.lookup(exp.name(), point, key) {
                     Lookup::Hit(p) if exp.validate(point, &p) => {
@@ -1199,8 +1206,7 @@ pub fn run(experiments: &[Arc<dyn Experiment>], opts: &RunOptions) -> Result<Run
                                 "aborted by crash hook after {computed_points} computed point(s)"
                             ));
                         }
-                        let key =
-                            Cache::key(exp.name(), &exp.fingerprint(), crate::SEED, done.point);
+                        let key = states[done.job].keys[done.point];
                         if let Err(e) = cache.store(exp.name(), done.point, key, &payload) {
                             events::warn_traced(
                                 "cache.write_failed",

@@ -527,6 +527,73 @@ fn cache_lookups_are_classified_in_the_run_report() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A cheap many-point experiment that counts its `fingerprint()` calls.
+struct FingerprintCounter {
+    calls: AtomicUsize,
+}
+
+impl Experiment for FingerprintCounter {
+    fn name(&self) -> &'static str {
+        "fingerprint_counter"
+    }
+
+    fn kind(&self) -> ExperimentKind {
+        ExperimentKind::Sweep
+    }
+
+    fn deps(&self) -> &'static [&'static str] {
+        &[]
+    }
+
+    fn num_points(&self) -> usize {
+        24
+    }
+
+    fn fingerprint(&self) -> String {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        "fingerprint_counter:v1".into()
+    }
+
+    fn compute_point(&self, point: usize) -> PointPayload {
+        PointPayload::Record(format!("point {point}\n"))
+    }
+
+    fn render(&self, points: &[PointPayload]) -> Capture {
+        let mut text = String::new();
+        for p in points {
+            if let PointPayload::Record(blob) = p {
+                text.push_str(blob);
+            }
+        }
+        Capture {
+            text,
+            artifacts: Vec::new(),
+        }
+    }
+}
+
+#[test]
+fn a_run_formats_each_jobs_fingerprint_once() {
+    let exp = Arc::new(FingerprintCounter {
+        calls: AtomicUsize::new(0),
+    });
+    let exps: Vec<Arc<dyn Experiment>> = vec![exp.clone()];
+    let dir = fresh_dir("fingerprint-once");
+
+    let cold = run(&exps, &opts(dir.clone(), 2));
+    assert!(cold.all_ok());
+    assert_eq!(cold.cache.misses, 24);
+    assert_eq!(exp.calls.swap(0, Ordering::SeqCst), 1, "cold run");
+
+    // The keys the cold run stored under are the ones a warm run looks up.
+    let warm = run(&exps, &opts(dir.clone(), 2));
+    assert_eq!((warm.cache.hits, warm.cache.misses), (24, 0));
+    assert_eq!(outputs(&warm), outputs(&cold));
+    assert_eq!(exp.calls.load(Ordering::SeqCst), 1, "warm run");
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn real_registry_experiment_is_cacheable_and_stable() {
     // The cheap whole jobs end to end: each one's output is its committed

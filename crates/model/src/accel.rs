@@ -23,6 +23,7 @@
 //! breakdown is assembled from the clamped estimates exactly as the
 //! simulators assemble theirs from measured tallies.
 
+use sparten_nn::ConvShape;
 use sparten_sim::{Breakdown, OpCounts, Scheme, SimConfig, SimResult, Traffic};
 
 use crate::params::{Geometry, LayerParams};
@@ -130,12 +131,42 @@ fn chunk_barrier(kind: &GroupKind, cc: f64, rho_i: f64, rho_f: f64) -> f64 {
     expected_max(mu, var.max(0.0).sqrt(), kind.busy, cap, p, kind.filters as f64 * cc)
 }
 
-/// Closed-form prediction for the Dense, One-sided, and SparTen schemes.
-pub fn predict_accel(params: &LayerParams, config: &SimConfig, scheme: Scheme) -> SimResult {
+/// What [`predict_accel`] needs that depends only on the layer shape and
+/// the cluster count, never on the densities: the padding geometry and
+/// each cluster's position slice and coverage. A DSE batch builds it once
+/// per run of configurations that differ only in density.
+pub(crate) struct ClusterGeometry {
+    geo: Geometry,
+    sizes: Vec<usize>,
+    covs: Vec<f64>,
+}
+
+impl ClusterGeometry {
+    pub(crate) fn new(shape: &ConvShape, clusters: usize) -> Self {
+        let geo = Geometry::new(shape);
+        let sizes = geo.cluster_sizes(clusters);
+        let covs = geo.cluster_coverage(clusters);
+        ClusterGeometry { geo, sizes, covs }
+    }
+}
+
+/// Closed-form prediction for the Dense, One-sided, and SparTen schemes,
+/// on `cg` built for `params.shape` and `config`'s cluster count.
+pub(crate) fn predict_accel(
+    params: &LayerParams,
+    cg: &ClusterGeometry,
+    config: &SimConfig,
+    scheme: Scheme,
+) -> SimResult {
     let shape = &params.shape;
-    let geo = Geometry::new(shape);
+    let geo = &cg.geo;
     let units = config.accel.cluster.compute_units;
     let clusters = config.accel.num_clusters;
+    debug_assert_eq!(
+        cg.sizes.len(),
+        clusters,
+        "geometry for another cluster count"
+    );
     let chunk = config.accel.cluster.chunk_size;
     let (k, d, nf) = (shape.kernel, shape.in_channels, shape.num_filters);
     let (rho_i, rho_f) = (params.input_density, params.filter_density);
@@ -192,13 +223,11 @@ pub fn predict_accel(params: &LayerParams, config: &SimConfig, scheme: Scheme) -
     };
 
     // Exact per-cluster position slices and padding coverage.
-    let sizes = geo.cluster_sizes(clusters);
-    let covs = geo.cluster_coverage(clusters);
     let mut sum_cycles_f = 0.0;
     let mut makespan_f: f64 = 0.0;
-    let mut cluster_cy = Vec::with_capacity(sizes.len());
+    let mut cluster_cy = Vec::with_capacity(clusters);
     let var_w = taps * d as f64 * rho_i * (1.0 - rho_i);
-    for (&n, &cov) in sizes.iter().zip(&covs) {
+    for (&n, &cov) in cg.sizes.iter().zip(&cg.covs) {
         let cy = n as f64 * (base + cov * slope);
         sum_cycles_f += cy;
         makespan_f = makespan_f.max(cy);
@@ -218,7 +247,7 @@ pub fn predict_accel(params: &LayerParams, config: &SimConfig, scheme: Scheme) -
     }
     makespan_f += expected_max_coeff(n_eff) * sigma_top;
 
-    let traffic = accel_traffic(params, &geo, config, scheme);
+    let traffic = accel_traffic(params, geo, config, scheme);
     let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
 
     // Integerize with the same clamps that make the simulators' identity
@@ -354,10 +383,14 @@ fn accel_traffic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparten_nn::ConvShape;
 
     fn params() -> LayerParams {
         LayerParams::new(ConvShape::new(64, 8, 8, 3, 16, 1, 1), 0.4, 0.3)
+    }
+
+    fn predict_accel(p: &LayerParams, cfg: &SimConfig, scheme: Scheme) -> SimResult {
+        let cg = ClusterGeometry::new(&p.shape, cfg.accel.num_clusters);
+        super::predict_accel(p, &cg, cfg, scheme)
     }
 
     #[test]

@@ -19,6 +19,7 @@ use sparten_core::{AcceleratorConfig, ClusterConfig};
 use sparten_nn::ConvShape;
 use sparten_sim::{Scheme, SimConfig};
 
+use crate::accel::ClusterGeometry;
 use crate::params::LayerParams;
 
 /// Version tag baked into fingerprints and records: bump when the model's
@@ -185,16 +186,16 @@ impl DseAxes {
     }
 }
 
-/// One concrete configuration (decoded from a flat index).
-struct DseConfig<'a> {
+/// One run: a maximal stretch of configuration indices that agree on
+/// every axis but the two densities (the fastest axes), so everything
+/// that does not depend on the densities is built once for all of them.
+struct DseRun<'a> {
     chunk: usize,
     units: usize,
     clusters: usize,
     kib: usize,
     scheme: Scheme,
     layer: &'a DseLayer,
-    rho_i: f64,
-    rho_f: f64,
 }
 
 /// A sweep ready for batched evaluation.
@@ -215,75 +216,117 @@ impl DseGrid {
         self.axes.num_configs().div_ceil(BATCH_SIZE)
     }
 
-    fn decode(&self, mut idx: usize) -> DseConfig<'_> {
+    /// The configuration index range `[lo, hi)` of batch `batch`.
+    fn batch_range(&self, batch: usize) -> (usize, usize) {
+        let lo = batch * BATCH_SIZE;
+        (lo, ((batch + 1) * BATCH_SIZE).min(self.axes.num_configs()))
+    }
+
+    /// Checks that `record` is this grid's batch `batch`: it parses
+    /// strictly ([`parse_record`]), its header names this batch and its
+    /// configuration range, and its aggregates count every configuration
+    /// in that range.
+    pub fn check_record(&self, batch: usize, record: &str) -> Result<(), String> {
+        let aggs = parse_record(record)?;
+        let header = parse_header(record.lines().next().unwrap_or_default())?;
+        let (lo, hi) = self.batch_range(batch);
+        if batch >= self.num_batches() || header != (batch, lo, hi) {
+            return Err(format!(
+                "dse record header (batch, lo, hi) = {header:?}, want {:?}",
+                (batch, lo, hi)
+            ));
+        }
+        let n: u64 = aggs.iter().map(|(_, a)| a.n).sum();
+        if n != (hi - lo) as u64 {
+            let want = hi - lo;
+            return Err(format!("dse record counts {n} configurations, want {want}"));
+        }
+        Ok(())
+    }
+
+    /// Decodes run `run`: configuration index ÷ the density block size.
+    fn decode_run(&self, mut run: usize) -> DseRun<'_> {
         let a = &self.axes;
-        let take = |idx: &mut usize, len: usize| {
-            let v = *idx % len;
-            *idx /= len;
+        let mut take = |len: usize| {
+            let v = run % len;
+            run /= len;
             v
         };
         // Fastest axis last in declaration order: decode in reverse.
-        let i_rf = take(&mut idx, a.filter_densities.len());
-        let i_ri = take(&mut idx, a.input_densities.len());
-        let i_layer = take(&mut idx, a.layers.len());
-        let i_scheme = take(&mut idx, a.schemes.len());
-        let i_kib = take(&mut idx, a.buffer_kib.len());
-        let i_clusters = take(&mut idx, a.cluster_counts.len());
-        let i_units = take(&mut idx, a.compute_units.len());
-        let i_chunk = idx;
-        DseConfig {
-            chunk: a.chunk_sizes[i_chunk],
+        let i_layer = take(a.layers.len());
+        let i_scheme = take(a.schemes.len());
+        let i_kib = take(a.buffer_kib.len());
+        let i_clusters = take(a.cluster_counts.len());
+        let i_units = take(a.compute_units.len());
+        DseRun {
+            chunk: a.chunk_sizes[run],
             units: a.compute_units[i_units],
             clusters: a.cluster_counts[i_clusters],
             kib: a.buffer_kib[i_kib],
             scheme: a.schemes[i_scheme],
             layer: &a.layers[i_layer],
-            rho_i: a.input_densities[i_ri],
-            rho_f: a.filter_densities[i_rf],
         }
     }
 
     /// Evaluates one batch and serializes its partial aggregates as a
     /// byte-stable record (the executor point payload).
+    ///
+    /// The batch is walked run by run. Per run: the decode, the
+    /// `SimConfig`, the cluster geometry, the buffer size and the
+    /// aggregate key with its map entry. Per configuration, in index
+    /// order: the layer parameters, the closed form, the energy model and
+    /// one addition into the entry — the same f64 operations in the same
+    /// order as evaluating every configuration on its own.
     pub fn batch_record(&self, batch: usize) -> String {
-        let total = self.axes.num_configs();
-        let lo = batch * BATCH_SIZE;
-        let hi = ((batch + 1) * BATCH_SIZE).min(total);
+        let axes = &self.axes;
+        let (lo, hi) = self.batch_range(batch);
+        let n_rf = axes.filter_densities.len();
+        let run_len = axes.input_densities.len() * n_rf;
         // Few distinct arch keys per batch (densities are the fast axes):
         // an ordered map keeps the record deterministic.
         let mut aggs: BTreeMap<String, Aggregate> = BTreeMap::new();
-        for idx in lo..hi {
-            let c = self.decode(idx);
+        let mut idx = lo;
+        while idx < hi {
+            let run = idx / run_len;
+            let end = ((run + 1) * run_len).min(hi);
+            let r = self.decode_run(run);
             let cfg = SimConfig {
                 accel: AcceleratorConfig {
                     cluster: ClusterConfig {
-                        compute_units: c.units,
-                        chunk_size: c.chunk,
+                        compute_units: r.units,
+                        chunk_size: r.chunk,
                         bisection_limit: 4,
                     },
-                    num_clusters: c.clusters,
+                    num_clusters: r.clusters,
                 },
                 ..SimConfig::large()
             };
-            let params = LayerParams::new(c.layer.shape, c.rho_i, c.rho_f);
-            let bytes_per_mac = c.kib * 1024 / c.units;
-            let ev = crate::evaluate(&params, &cfg, c.scheme, bytes_per_mac);
+            let cg = ClusterGeometry::new(&r.layer.shape, r.clusters);
+            let bytes_per_mac = r.kib * 1024 / r.units;
             let key = format!(
                 "chunk={},units={},clusters={},kib={},scheme={}",
-                c.chunk,
-                c.units,
-                c.clusters,
-                c.kib,
-                c.scheme.label()
+                r.chunk,
+                r.units,
+                r.clusters,
+                r.kib,
+                r.scheme.label()
             );
             let agg = aggs.entry(key).or_default();
-            agg.n += 1;
-            agg.cycles += ev.cycles() as f64;
-            agg.macs += ev.result.breakdown.nonzero as f64;
-            agg.energy_pj += ev.energy_pj();
-            if ev.result.is_memory_bound() {
-                agg.mem_bound += 1;
+            for i in idx..end {
+                let d = i % run_len;
+                let rho_i = axes.input_densities[d / n_rf];
+                let rho_f = axes.filter_densities[d % n_rf];
+                let params = LayerParams::new(r.layer.shape, rho_i, rho_f);
+                let ev = crate::evaluate_on(&params, &cg, &cfg, r.scheme, bytes_per_mac);
+                agg.n += 1;
+                agg.cycles += ev.cycles() as f64;
+                agg.macs += ev.result.breakdown.nonzero as f64;
+                agg.energy_pj += ev.energy_pj();
+                if ev.result.is_memory_bound() {
+                    agg.mem_bound += 1;
+                }
             }
+            idx = end;
         }
         let mut out = format!("dse-batch {MODEL_VERSION} batch={batch} lo={lo} hi={hi}\n");
         for (key, a) in &aggs {
@@ -311,45 +354,68 @@ pub struct Aggregate {
     pub mem_bound: u64,
 }
 
-/// Parses one batch record back into its aggregates.
-pub fn parse_record(record: &str) -> Result<Vec<(String, Aggregate)>, String> {
-    let mut lines = record.lines();
-    let header = lines.next().ok_or("empty dse record")?;
-    if !header.starts_with("dse-batch ") {
-        return Err(format!("bad dse record header: {header:?}"));
+/// The fields of a record line after its key, in the writer's order.
+const FIELDS: [&str; 5] = ["n", "cycles", "macs", "energy", "membound"];
+
+/// Parses a record header, `dse-batch <version> batch=<b> lo=<lo> hi=<hi>`,
+/// into `(batch, lo, hi)`.
+fn parse_header(header: &str) -> Result<(usize, usize, usize), String> {
+    let bad = || format!("bad dse record header: {header:?}");
+    let mut words = header.split(' ');
+    if words.next() != Some("dse-batch") {
+        return Err(bad());
     }
-    if !header.contains(MODEL_VERSION) {
+    if words.next() != Some(MODEL_VERSION) {
         return Err(format!("dse record from a different model version: {header:?}"));
     }
+    let mut number = |name: &str| {
+        words
+            .next()
+            .and_then(|w| w.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+            .ok_or_else(bad)
+    };
+    let parsed = (number("batch")?, number("lo")?, number("hi")?);
+    match words.next() {
+        None => Ok(parsed),
+        Some(_) => Err(bad()),
+    }
+}
+
+/// Parses one batch record back into its aggregates. Every line must be a
+/// key followed by exactly the five fields, in the order the writer puts
+/// them.
+pub fn parse_record(record: &str) -> Result<Vec<(String, Aggregate)>, String> {
+    let mut lines = record.lines();
+    parse_header(lines.next().ok_or("empty dse record")?)?;
     let mut out = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
+    for line in lines.filter(|l| !l.is_empty()) {
+        // The key may hold spaces; the five fields cannot.
+        let mut parts = line.rsplitn(FIELDS.len() + 1, ' ');
+        let mut values = [""; FIELDS.len()];
+        for (value, name) in values.iter_mut().zip(FIELDS).rev() {
+            let field = parts.next().unwrap_or_default();
+            *value = field
+                .strip_prefix(name)
+                .and_then(|f| f.strip_prefix('='))
+                .ok_or_else(|| {
+                    format!("dse record line wants {name}= where {field:?} is: {line:?}")
+                })?;
         }
-        let (key, rest) = line.rsplitn(6, ' ').collect::<Vec<_>>().split_last().map(
-            |(k, fields)| {
-                let mut f = fields.to_vec();
-                f.reverse();
-                (k.to_string(), f)
+        let key = parts
+            .next()
+            .filter(|k| !k.is_empty())
+            .ok_or_else(|| format!("dse record line has no key: {line:?}"))?;
+        let [n, cycles, macs, energy, membound] = values;
+        out.push((
+            key.to_string(),
+            Aggregate {
+                n: n.parse().map_err(|e| format!("n: {e}"))?,
+                cycles: cycles.parse().map_err(|e| format!("cycles: {e}"))?,
+                macs: macs.parse().map_err(|e| format!("macs: {e}"))?,
+                energy_pj: energy.parse().map_err(|e| format!("energy: {e}"))?,
+                mem_bound: membound.parse().map_err(|e| format!("membound: {e}"))?,
             },
-        ).ok_or_else(|| format!("bad dse record line: {line:?}"))?;
-        let mut agg = Aggregate::default();
-        for field in rest {
-            let (name, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("bad dse field: {field:?}"))?;
-            match name {
-                "n" => agg.n = value.parse().map_err(|e| format!("n: {e}"))?,
-                "cycles" => agg.cycles = value.parse().map_err(|e| format!("cycles: {e}"))?,
-                "macs" => agg.macs = value.parse().map_err(|e| format!("macs: {e}"))?,
-                "energy" => agg.energy_pj = value.parse().map_err(|e| format!("energy: {e}"))?,
-                "membound" => {
-                    agg.mem_bound = value.parse().map_err(|e| format!("membound: {e}"))?
-                }
-                other => return Err(format!("unknown dse field {other:?}")),
-            }
-        }
-        out.push((key, agg));
+        ));
     }
     Ok(out)
 }
@@ -471,6 +537,69 @@ mod tests {
         assert!(!parsed.is_empty());
         let total: u64 = parsed.iter().map(|(_, a)| a.n).sum();
         assert_eq!(total, BATCH_SIZE as u64);
+        // Writing the parsed aggregates back reproduces the record.
+        let mut rewritten = r1.lines().next().unwrap().to_string() + "\n";
+        for (key, a) in &parsed {
+            rewritten.push_str(&format!(
+                "{key} n={} cycles={} macs={} energy={} membound={}\n",
+                a.n, a.cycles, a.macs, a.energy_pj, a.mem_bound
+            ));
+        }
+        assert_eq!(rewritten, r1);
+    }
+
+    /// A record of batch 0 on the quick grid with `lines` as its body.
+    fn record_with(lines: &str) -> String {
+        format!("dse-batch {MODEL_VERSION} batch=0 lo=0 hi=512\n{lines}")
+    }
+
+    #[test]
+    fn a_line_missing_fields_is_rejected() {
+        assert!(parse_record(&record_with("key n=512\n")).is_err());
+    }
+
+    #[test]
+    fn a_repeated_field_is_rejected() {
+        assert!(parse_record(&record_with("key n=1 n=2 n=3 n=4 n=5\n")).is_err());
+    }
+
+    #[test]
+    fn a_line_without_a_key_is_rejected() {
+        let line = "n=512 cycles=1 macs=2 energy=3 membound=0\n";
+        assert!(parse_record(&record_with(line)).is_err());
+    }
+
+    #[test]
+    fn fields_out_of_order_or_extra_are_rejected() {
+        for line in [
+            "key cycles=1 n=512 macs=2 energy=3 membound=0\n",
+            "key n=512 cycles=1 macs=2 energy=3 membound=0 extra=1\n",
+            "key n=512 cycles=1 macs=2 energy=3 membound=x\n",
+        ] {
+            assert!(parse_record(&record_with(line)).is_err(), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn check_record_holds_the_header_to_the_grid() {
+        let grid = DseGrid::new(DseAxes::quick());
+        let r1 = grid.batch_record(1);
+        assert_eq!(grid.check_record(1, &r1), Ok(()));
+        // Another batch's record, a header for an empty batch 7, a
+        // shifted range and a dropped line all parse but are not batch 1.
+        assert!(grid.check_record(0, &r1).is_err());
+        let empty = format!("dse-batch {MODEL_VERSION} batch=7 lo=3584 hi=4096\n");
+        assert!(parse_record(&empty).is_ok());
+        assert!(grid.check_record(7, &empty).is_err());
+        assert!(grid.check_record(0, &empty).is_err());
+        let shifted = r1.replacen("lo=512 hi=1024", "lo=511 hi=1023", 1);
+        assert!(grid.check_record(1, &shifted).is_err());
+        let dropped: String = r1.lines().take(2).map(|l| format!("{l}\n")).collect();
+        assert!(grid.check_record(1, &dropped).is_err());
+        let last = grid.num_batches() - 1;
+        assert_eq!(grid.check_record(last, &grid.batch_record(last)), Ok(()));
+        let past_the_end = grid.batch_record(last + 1);
+        assert!(grid.check_record(last + 1, &past_the_end).is_err());
     }
 
     #[test]

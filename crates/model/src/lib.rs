@@ -32,6 +32,8 @@ mod scnnm;
 use sparten_energy::{EnergyModel, EnergyReport};
 use sparten_sim::{Scheme, SimConfig, SimResult};
 
+use accel::ClusterGeometry;
+
 pub use params::{Geometry, LayerParams};
 
 /// Predicts one layer's [`SimResult`] on one scheme in closed form.
@@ -40,11 +42,24 @@ pub use params::{Geometry, LayerParams};
 /// would return — same breakdown identity, same traffic formulas, same op
 /// counts — but costs microseconds instead of milliseconds.
 pub fn predict(params: &LayerParams, config: &SimConfig, scheme: Scheme) -> SimResult {
+    let cg = ClusterGeometry::new(&params.shape, config.accel.num_clusters);
+    predict_on(params, &cg, config, scheme)
+}
+
+/// [`predict`] on a [`ClusterGeometry`] the caller built for
+/// `params.shape` and `config`'s cluster count, so a caller that varies
+/// only the densities builds it once. The SCNN forms ignore it.
+fn predict_on(
+    params: &LayerParams,
+    cg: &ClusterGeometry,
+    config: &SimConfig,
+    scheme: Scheme,
+) -> SimResult {
     match scheme {
         Scheme::Scnn | Scheme::ScnnOneSided | Scheme::ScnnDense => {
             scnnm::predict_scnn(params, config, scheme)
         }
-        _ => accel::predict_accel(params, config, scheme),
+        _ => accel::predict_accel(params, cg, config, scheme),
     }
 }
 
@@ -77,7 +92,19 @@ pub fn evaluate(
     scheme: Scheme,
     buffer_bytes_per_mac: usize,
 ) -> Evaluation {
-    let result = predict(params, config, scheme);
+    let cg = ClusterGeometry::new(&params.shape, config.accel.num_clusters);
+    evaluate_on(params, &cg, config, scheme, buffer_bytes_per_mac)
+}
+
+/// [`evaluate`] on a prebuilt [`ClusterGeometry`] (see [`predict_on`]).
+pub(crate) fn evaluate_on(
+    params: &LayerParams,
+    cg: &ClusterGeometry,
+    config: &SimConfig,
+    scheme: Scheme,
+    buffer_bytes_per_mac: usize,
+) -> Evaluation {
+    let result = predict_on(params, cg, config, scheme);
     let energy = EnergyModel::nm45().layer_energy(&result, buffer_bytes_per_mac);
     Evaluation { result, energy }
 }

@@ -104,6 +104,13 @@ diff -r -x cache -x journal -x events \
 echo "== analytical-model oracle (release: full golden catalog) =="
 cargo test -q --release -p sparten-model
 
+echo "== DSE batch records vs the per-config reference (release: every full-grid batch) =="
+# The dse smoke above diffs only the quick grid. This compares the
+# run-factored batch_record with a direct evaluation of every
+# configuration, byte for byte, on all 2110 full-grid batches (~2 s).
+cargo test -q --release -p sparten-model --features exhaustive-tests \
+  --test dse_reference full_grid_matches_per_config_reference
+
 echo "== bench smoke (quick registry, pinned schema, kernel speedups) =="
 # Write to a scratch path so the smoke never clobbers the committed
 # BENCH_sim.json baseline; --check-schema parses the artifact back.
