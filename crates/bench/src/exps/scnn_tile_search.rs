@@ -5,8 +5,7 @@
 //! budget (tile+halo squared × output group).
 
 use sparten::nn::alexnet;
-use sparten::sim::scnn::{simulate_scnn, ScnnVariant};
-use sparten::sim::{MaskModel, SimConfig};
+use sparten::sim::{simulate_layer, MaskModel, Scheme, SimConfig};
 use crate::{print_table, SEED};
 
 pub fn run() {
@@ -21,7 +20,7 @@ pub fn run() {
     for tile in [2usize, 3, 4, 6, 8, 10] {
         let mut cfg = cfg_base;
         cfg.scnn.tile = tile;
-        let r = simulate_scnn(&w, &model, &cfg, ScnnVariant::Full);
+        let r = simulate_layer(&w, &model, &cfg, Scheme::Scnn);
         // Accumulator demand: (tile + k − 1)² outputs × output group of 8.
         let k = spec.shape.kernel;
         let accumulators = (tile + k - 1) * (tile + k - 1) * cfg.scnn.output_group;

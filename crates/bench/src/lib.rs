@@ -23,7 +23,7 @@ pub mod vfs;
 
 pub use experiments::{
     dump_json, geomean_excluding, network_config, print_breakdown_figure, print_speedup_figure,
-    run_layer, run_layer_telemetry, run_network, LayerResult, SEED,
+    run_layer, run_network, LayerResult, SEED,
 };
 pub use fsutil::atomic_write;
 pub use vfs::{

@@ -265,7 +265,8 @@ pub fn run_benchmarks(opts: &BenchOptions, extras: Vec<ExtraBench<'_>>) -> Bench
         let w = spec.workload(crate::SEED);
         let model = MaskModel::new(&w, config.accel.cluster.chunk_size);
         macro_bench("table3/GoogLeNet-Inc3a_3x3", &mut || {
-            std::hint::black_box(simulate_schemes(&w, &model, &config, &Scheme::all()));
+            std::hint::black_box(simulate_schemes(&w, &model, &config, &Scheme::all(), None))
+                .expect("an untraced pass has nothing to reconcile");
         });
     }
     macro_bench("engine/run-layer", &mut || {

@@ -8,7 +8,7 @@
 //! ([`Runner::PerLayer`]) that independent workers simulate concurrently
 //! and a deterministic render step recombines in layer order.
 
-use crate::experiments::{run_layer, run_layer_telemetry, LayerResult};
+use crate::experiments::{run_layer, LayerResult};
 use crate::exps;
 use sparten::nn::Network;
 use sparten::sim::{Scheme, SimConfig, SimResult};
@@ -65,29 +65,18 @@ impl NetworkFigure {
         (self.network)().layers.len()
     }
 
-    /// Simulates point `i` (one layer across all of this figure's schemes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn compute_point(&self, i: usize) -> LayerResult {
-        let net = (self.network)();
-        let cfg = (self.config)(&net);
-        run_layer(&net.layers[i], &(self.schemes)(), &cfg)
-    }
-
-    /// [`compute_point`](Self::compute_point) with telemetry: counters and
-    /// timeline spans for every scheme land in `session`, reconciled
-    /// exactly against the returned breakdowns.
+    /// Simulates point `i` (one layer across all of this figure's schemes),
+    /// recording every scheme's counters and timeline spans into `session`
+    /// when given, reconciled exactly against the returned breakdowns.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range or a scheme's counters fail to
     /// reconcile (an instrumentation bug).
-    pub fn compute_point_telemetry(&self, i: usize, session: &Telemetry) -> LayerResult {
+    pub fn compute_point(&self, i: usize, session: Option<&Telemetry>) -> LayerResult {
         let net = (self.network)();
         let cfg = (self.config)(&net);
-        run_layer_telemetry(&net.layers[i], &(self.schemes)(), &cfg, session)
+        run_layer(&net.layers[i], &(self.schemes)(), &cfg, session)
     }
 
     /// The cache-key fingerprint shared by all of this figure's points:
@@ -312,7 +301,7 @@ mod tests {
                 _ => None,
             })
             .expect("a per-layer figure exists");
-        let l = fig.compute_point(0);
+        let l = fig.compute_point(0, None);
         let back = layer_from_record(l.layer, &layer_record(&l)).expect("parses");
         assert_eq!(back.layer, l.layer);
         assert_eq!(back.results, l.results);

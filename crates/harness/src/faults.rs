@@ -32,8 +32,7 @@ use sparten::faults::{
 };
 use sparten::nn::generate::{workload, Workload};
 use sparten::nn::ConvShape;
-use sparten::sim::sparten::{simulate_sparten, Sparsity};
-use sparten::sim::{simulate_sparten_faulted, MaskModel, SimConfig};
+use sparten::sim::{simulate_layer, try_simulate_layer, MaskModel, Scheme, SimConfig};
 use sparten::tensor::SparseTensor3;
 
 /// The campaign's fixed workload seed: fault variability comes from each
@@ -117,16 +116,8 @@ fn run_trial(spec: &Spec<FaultClass>) -> Outcome {
                 fault: UnitFault::Slow(2 + rng.gen_range(6)),
             };
             let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-            let clean = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
-            match simulate_sparten_faulted(
-                &w,
-                &m,
-                &cfg,
-                Sparsity::TwoSided,
-                BalanceMode::None,
-                &fault,
-                None,
-            ) {
+            let clean = simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb);
+            match try_simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb, Some(&fault)) {
                 Err(_) => Outcome::Detected,
                 // A straggler must only stretch latency: identical work
                 // accounting and no-faster cycles prove absorption.
@@ -150,16 +141,8 @@ fn run_trial(spec: &Spec<FaultClass>) -> Outcome {
                 fault: UnitFault::Stuck,
             };
             let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-            let clean = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
-            match simulate_sparten_faulted(
-                &w,
-                &m,
-                &cfg,
-                Sparsity::TwoSided,
-                BalanceMode::None,
-                &fault,
-                None,
-            ) {
+            let clean = simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb);
+            match try_simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb, Some(&fault)) {
                 Err(_) => Outcome::Detected,
                 // Only a victim that never held work can go unnoticed, and
                 // then the result must equal the clean run exactly.

@@ -209,12 +209,12 @@ impl Experiment for PerLayerJob {
     }
 
     fn compute_point(&self, point: usize) -> PointPayload {
-        PointPayload::Record(layer_record(&self.figure.compute_point(point)))
+        PointPayload::Record(layer_record(&self.figure.compute_point(point, None)))
     }
 
     fn compute_point_telemetry(&self, point: usize) -> (PointPayload, Option<Telemetry>) {
         let session = Telemetry::new();
-        let layer = self.figure.compute_point_telemetry(point, &session);
+        let layer = self.figure.compute_point(point, Some(&session));
         (PointPayload::Record(layer_record(&layer)), Some(session))
     }
 

@@ -5,7 +5,7 @@
 use sparten::nn::{ConvShape, LayerSpec};
 use sparten::sim::{Scheme, SimConfig, SimResult};
 use sparten_bench::registry::layer_record;
-use sparten_bench::{run_layer, run_layer_telemetry, Capture, ExperimentKind};
+use sparten_bench::{run_layer, Capture, ExperimentKind};
 use sparten_harness::executor::{self, RunOptions, RunReport};
 use sparten_harness::{registry, Experiment, PointPayload};
 use sparten_telemetry::{parse_report, Telemetry};
@@ -74,7 +74,7 @@ impl Experiment for TestExp {
     fn compute_point(&self, point: usize) -> PointPayload {
         assert!(!self.poisoned, "poisoned experiment");
         let spec = self.layer(point);
-        let result = run_layer(&spec, &Scheme::all(), &SimConfig::small());
+        let result = run_layer(&spec, &Scheme::all(), &SimConfig::small(), None);
         PointPayload::Record(layer_record(&result))
     }
 
@@ -82,7 +82,7 @@ impl Experiment for TestExp {
         assert!(!self.poisoned, "poisoned experiment");
         let spec = self.layer(point);
         let session = Telemetry::new();
-        let result = run_layer_telemetry(&spec, &Scheme::all(), &SimConfig::small(), &session);
+        let result = run_layer(&spec, &Scheme::all(), &SimConfig::small(), Some(&session));
         (PointPayload::Record(layer_record(&result)), Some(session))
     }
 
@@ -192,8 +192,8 @@ fn results_are_bit_identical_across_jobs_and_cache_states() {
 fn direct_recomputation_is_bit_identical() {
     // The underlying guarantee the cache rests on, without the executor.
     let exp = TestExp::new("direct", 1, 16);
-    let a = run_layer(&exp.layer(0), &Scheme::all(), &SimConfig::small());
-    let b = run_layer(&exp.layer(0), &Scheme::all(), &SimConfig::small());
+    let a = run_layer(&exp.layer(0), &Scheme::all(), &SimConfig::small(), None);
+    let b = run_layer(&exp.layer(0), &Scheme::all(), &SimConfig::small(), None);
     assert_eq!(a.results, b.results);
     for (x, y) in a.results.iter().zip(&b.results) {
         assert_eq!(x.to_record(), y.to_record());
@@ -319,7 +319,7 @@ impl Experiment for FlakyExp {
             }
         }
         let spec = TestExp::new(self.name, 1, 8).layer(0);
-        let result = run_layer(&spec, &Scheme::all(), &SimConfig::small());
+        let result = run_layer(&spec, &Scheme::all(), &SimConfig::small(), None);
         PointPayload::Record(layer_record(&result))
     }
 
@@ -471,7 +471,7 @@ fn telemetry_runs_export_reconciled_counters_and_valid_traces() {
     for point in 0..2 {
         let exp = TestExp::new("tel_job", 2, 8);
         let spec = exp.layer(point);
-        let r = run_layer(&spec, &[Scheme::SpartenGbH], &SimConfig::small());
+        let r = run_layer(&spec, &[Scheme::SpartenGbH], &SimConfig::small(), None);
         expect_nonzero += r.results[0].breakdown.nonzero;
     }
     assert_eq!(parsed.counters["SparTen/work.nonzero"], expect_nonzero);

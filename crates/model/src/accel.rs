@@ -11,7 +11,8 @@
 //!   pays `max-over-units(work) + 1` cycles per chunk (the broadcast
 //!   barrier). The max is the only quantity that needs a statistical
 //!   approximation — everything else (coverage, group structure, chunk
-//!   taxonomy, traffic, op counts) is computed exactly;
+//!   taxonomy, op counts) is computed exactly, and the traffic is the
+//!   simulators' own formula fed expected non-zero counts;
 //! * the expected max combines the two *between-unit* variance sources:
 //!   filter-mask overlap sampling (attacked by GB-H's per-chunk
 //!   re-pairing) and between-filter density spread (shrunk by sorting,
@@ -24,6 +25,7 @@
 //! simulators assemble theirs from measured tallies.
 
 use sparten_nn::ConvShape;
+use sparten_sim::sparten::Sparsity;
 use sparten_sim::{Breakdown, OpCounts, Scheme, SimConfig, SimResult, Traffic};
 
 use crate::params::{Geometry, LayerParams};
@@ -247,8 +249,15 @@ pub(crate) fn predict_accel(
     }
     makespan_f += expected_max_coeff(n_eff) * sigma_top;
 
-    let traffic = accel_traffic(params, geo, config, scheme);
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+    let (input_nnz, weight_nnz) = params.expected_nnz();
+    let traffic = match scheme {
+        Scheme::Dense => Traffic::dense(shape, input_nnz, weight_nnz, config),
+        Scheme::OneSided => {
+            Traffic::sparten(shape, input_nnz, weight_nnz, Sparsity::OneSided, config)
+        }
+        _ => Traffic::sparten(shape, input_nnz, weight_nnz, Sparsity::TwoSided, config),
+    };
+    let memory_cycles = config.memory.cycles(&traffic);
 
     // Integerize with the same clamps that make the simulators' identity
     // hold: intra = Σ(cycles·U − busy), inter = (makespan − cycles)·U.
@@ -308,75 +317,6 @@ pub(crate) fn predict_accel(
         breakdown,
         traffic,
         ops,
-    }
-}
-
-/// Expected DRAM traffic — a direct port of the simulators'
-/// `dense_traffic`/`sparten_traffic` with expected non-zero counts.
-fn accel_traffic(
-    params: &LayerParams,
-    geo: &Geometry,
-    config: &SimConfig,
-    scheme: Scheme,
-) -> Traffic {
-    let shape = &params.shape;
-    let elem = config.memory.element_bytes as f64;
-    let batch = config.memory.batch as f64;
-    let input_cells = shape.input_cells() as f64;
-    let weight_cells = shape.weight_cells() as f64;
-    let out_cells = shape.num_outputs() as f64;
-    let input_nnz = (input_cells * params.input_density).round();
-    let weight_nnz = (weight_cells * params.filter_density).round();
-
-    if scheme == Scheme::Dense {
-        let input_zero = input_cells - input_nnz;
-        let filter_zero = (weight_cells - weight_nnz) / batch;
-        let output_zero = out_cells * (1.0 - config.memory.output_density);
-        return Traffic {
-            input_bytes: input_cells * elem,
-            filter_bytes: weight_cells * elem / batch,
-            output_bytes: out_cells * elem,
-            zero_value_bytes: (input_zero + filter_zero + output_zero) * elem,
-            metadata_bytes: 0.0,
-        };
-    }
-
-    let chunk = config.accel.cluster.chunk_size;
-    let mask_bytes_per_chunk = chunk as f64 / 8.0;
-    let chunks_per_fiber = shape.in_channels.div_ceil(chunk) as f64;
-    let k2 = (shape.kernel * shape.kernel) as f64;
-
-    let input_fibers = (shape.in_height * shape.in_width) as f64;
-    let input_mask_bytes = input_fibers * chunks_per_fiber * mask_bytes_per_chunk;
-    let input_bytes = input_nnz * elem + input_mask_bytes;
-
-    let filter_mask_bytes =
-        shape.num_filters as f64 * k2 * chunks_per_fiber * mask_bytes_per_chunk;
-    let (filter_bytes, filter_zero_bytes, filter_meta) = if scheme == Scheme::OneSided {
-        (
-            weight_cells * elem / batch,
-            (weight_cells - weight_nnz) * elem / batch,
-            0.0,
-        )
-    } else {
-        (
-            (weight_nnz * elem + filter_mask_bytes) / batch,
-            0.0,
-            filter_mask_bytes / batch,
-        )
-    };
-
-    let out_nnz = out_cells * config.memory.output_density;
-    let out_chunks = geo.positions as f64 * shape.num_filters.div_ceil(chunk) as f64;
-    let output_mask_bytes = out_chunks * mask_bytes_per_chunk;
-    let output_bytes = out_nnz * elem + output_mask_bytes;
-
-    Traffic {
-        input_bytes,
-        filter_bytes,
-        output_bytes,
-        zero_value_bytes: filter_zero_bytes,
-        metadata_bytes: input_mask_bytes + filter_meta + output_mask_bytes,
     }
 }
 

@@ -10,7 +10,11 @@
 //!
 //! The model consumes *measured* densities ([`LayerParams::from_measurement`])
 //! so the comparison isolates structural model error from the sampling
-//! noise of the synthetic workload generator.
+//! noise of the synthetic workload generator. With measured densities the
+//! model's expected non-zero counts are the simulator's measured ones, and
+//! both feed the same traffic formulas, so each row also records whether
+//! the predicted traffic and memory cycles equal the simulated ones
+//! exactly.
 
 use sparten_nn::networks::{alexnet, googlenet, vggnet, LayerSpec};
 use sparten_sim::{simulate_schemes, MaskModel, Scheme, SimConfig};
@@ -124,6 +128,9 @@ pub struct OracleRow {
     pub predicted: u64,
     /// Cycle-accurate total cycles.
     pub simulated: u64,
+    /// Whether the predicted traffic and memory cycles equal the
+    /// simulated ones exactly.
+    pub traffic_exact: bool,
 }
 
 impl OracleRow {
@@ -151,7 +158,8 @@ pub fn compare_layer(
     let workload = spec.workload(seed);
     let mask = MaskModel::new(&workload, config.accel.cluster.chunk_size);
     let params = LayerParams::from_measurement(spec.shape, &mask.measure());
-    let sims = simulate_schemes(&workload, &mask, config, schemes);
+    let sims = simulate_schemes(&workload, &mask, config, schemes, None)
+        .expect("an untraced pass has nothing to reconcile");
     schemes
         .iter()
         .zip(sims)
@@ -165,6 +173,8 @@ pub fn compare_layer(
                 scheme_id: scheme,
                 predicted: pred.cycles(),
                 simulated: sim.cycles(),
+                traffic_exact: pred.traffic == sim.traffic
+                    && pred.memory_cycles == sim.memory_cycles,
             }
         })
         .collect()

@@ -71,6 +71,15 @@ impl LayerParams {
         }
     }
 
+    /// Expected non-zero input cells and weights, `(cells · ρ).round()`: the
+    /// counts the model feeds the simulators' traffic formulas.
+    pub(crate) fn expected_nnz(&self) -> (f64, f64) {
+        (
+            (self.shape.input_cells() as f64 * self.input_density).round(),
+            (self.shape.weight_cells() as f64 * self.filter_density).round(),
+        )
+    }
+
     /// Dense MAC count *excluding* out-of-bounds taps — the denominator the
     /// simulators' `total_sparse_macs` is drawn from.
     pub fn covered_dense_macs(&self, geo: &Geometry) -> f64 {

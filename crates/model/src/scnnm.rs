@@ -14,6 +14,7 @@
 //! sanity variants map to effective densities of 1.0 on the dense side(s),
 //! which collapses every distribution to a point mass.
 
+use sparten_sim::scnn::ScnnVariant;
 use sparten_sim::{Breakdown, OpCounts, Scheme, SimConfig, SimResult, Traffic};
 
 use crate::params::{Geometry, LayerParams};
@@ -29,10 +30,14 @@ pub fn predict_scnn(params: &LayerParams, config: &SimConfig, scheme: Scheme) ->
     let (d, k, nf) = (shape.in_channels, shape.kernel, shape.num_filters);
 
     // Effective densities per variant: the dense side(s) count every cell.
-    let (rho_i_eff, rho_f_eff) = match scheme {
-        Scheme::Scnn => (params.input_density, params.filter_density),
-        Scheme::ScnnOneSided => (params.input_density, 1.0),
-        Scheme::ScnnDense => (1.0, 1.0),
+    let (variant, rho_i_eff, rho_f_eff) = match scheme {
+        Scheme::Scnn => (
+            ScnnVariant::Full,
+            params.input_density,
+            params.filter_density,
+        ),
+        Scheme::ScnnOneSided => (ScnnVariant::OneSided, params.input_density, 1.0),
+        Scheme::ScnnDense => (ScnnVariant::Dense, 1.0, 1.0),
         _ => panic!("predict_scnn called with a non-SCNN scheme"),
     };
 
@@ -101,8 +106,9 @@ pub fn predict_scnn(params: &LayerParams, config: &SimConfig, scheme: Scheme) ->
     let e_two = shape.dense_macs() as f64 * geo.cov_mean * params.input_density
         * params.filter_density;
 
-    let traffic = scnn_traffic(params, config, scheme);
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+    let (input_nnz, weight_nnz) = params.expected_nnz();
+    let traffic = Traffic::scnn(shape, input_nnz, weight_nnz, variant, config);
+    let memory_cycles = config.memory.cycles(&traffic);
 
     // Integerize with the simulator's identity by construction.
     let products = products_f.round().max(0.0) as u64;
@@ -232,52 +238,6 @@ fn piece_lengths(len: usize, cap: usize) -> Vec<usize> {
         off += piece;
     }
     out
-}
-
-/// Expected SCNN traffic — `scnn_traffic` with expected non-zero counts.
-fn scnn_traffic(params: &LayerParams, config: &SimConfig, scheme: Scheme) -> Traffic {
-    let shape = &params.shape;
-    let elem = config.memory.element_bytes as f64;
-    let batch = config.memory.batch as f64;
-    let idx = 0.5; // bytes of coordinate metadata per stored value
-    let input_cells = shape.input_cells() as f64;
-    let weight_cells = shape.weight_cells() as f64;
-    let out_cells = shape.num_outputs() as f64;
-    let input_nnz = (input_cells * params.input_density).round();
-    let weight_nnz = (weight_cells * params.filter_density).round();
-
-    let (input_bytes, input_zero, input_meta) = if scheme == Scheme::ScnnDense {
-        (input_cells * elem, input_cells - input_nnz, 0.0)
-    } else {
-        (input_nnz * (elem + idx), 0.0, input_nnz * idx)
-    };
-    let (filter_bytes, filter_zero, filter_meta) = if scheme == Scheme::Scnn {
-        (
-            weight_nnz * (elem + idx) / batch,
-            0.0,
-            weight_nnz * idx / batch,
-        )
-    } else {
-        (
-            weight_cells * elem / batch,
-            (weight_cells - weight_nnz) / batch,
-            0.0,
-        )
-    };
-    let out_nnz = out_cells * config.memory.output_density;
-    let (output_bytes, output_meta) = if scheme == Scheme::ScnnDense {
-        (out_cells * elem, 0.0)
-    } else {
-        (out_nnz * (elem + idx), out_nnz * idx)
-    };
-
-    Traffic {
-        input_bytes,
-        filter_bytes,
-        output_bytes,
-        zero_value_bytes: (input_zero + filter_zero) * elem,
-        metadata_bytes: input_meta + filter_meta + output_meta,
-    }
 }
 
 #[cfg(test)]

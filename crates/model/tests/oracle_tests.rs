@@ -57,6 +57,17 @@ fn model_is_within_documented_bounds_on_golden_points() {
         "oracle bound violations:\n{}",
         error_report(&rows, GOLDEN_SEED)
     );
+    // The model feeds the simulators' own traffic formulas, so on measured
+    // densities its traffic and memory bound are exact, not approximate.
+    let inexact: Vec<String> = rows
+        .iter()
+        .filter(|r| !r.traffic_exact)
+        .map(|r| format!("{}/{}/{}/{}", r.network, r.config_tag, r.layer, r.scheme))
+        .collect();
+    assert!(
+        inexact.is_empty(),
+        "traffic differs from the simulator's: {inexact:?}"
+    );
 }
 
 #[test]

@@ -19,7 +19,6 @@ use sparten_nn::quant::QuantTensor;
 
 use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
 use crate::config::SimConfig;
-use crate::workmodel::MaskModel;
 
 /// Number of essential (non-zero) digits in the radix-4 Booth recoding of
 /// an 8-bit value — the bit-serial work unit.
@@ -142,46 +141,33 @@ pub fn simulate_bitserial(workload: &Workload, config: &SimConfig) -> SimResult 
         cluster_busy[cluster] = busy;
     }
 
-    let makespan = cluster_cycles.iter().copied().max().unwrap_or(0);
     let total_units = (units * num_clusters) as u64;
     let total_digit_work: u64 = cluster_busy.iter().sum();
-    let mut intra = 0u64;
-    let mut inter = 0u64;
-    for c in 0..num_clusters {
-        intra += cluster_cycles[c] * units as u64 - cluster_busy[c];
-        inter += (makespan - cluster_cycles[c]) * units as u64;
-    }
+    // Zero bits are skipped and zero values cost no digits: all work is
+    // non-zero.
+    let (makespan, breakdown) = Breakdown::from_clusters(
+        &cluster_cycles,
+        &cluster_busy,
+        units as u64,
+        total_digit_work,
+    );
 
     // §6 issue 1: dense transfers — identical to the dense architecture's.
-    let elem = config.memory.element_bytes as f64;
-    let batch = config.memory.batch as f64;
-    let model = MaskModel::new(workload, config.accel.cluster.chunk_size);
-    let input_cells = shape.input_cells() as f64;
-    let weight_cells = shape.weight_cells() as f64;
-    let out_cells = shape.num_outputs() as f64;
-    let traffic = Traffic {
-        input_bytes: input_cells * elem,
-        filter_bytes: weight_cells * elem / batch,
-        output_bytes: out_cells * elem,
-        zero_value_bytes: ((input_cells - model.input_nnz() as f64)
-            + (weight_cells - model.weight_nnz() as f64) / batch
-            + out_cells * (1.0 - config.memory.output_density))
-            * elem,
-        metadata_bytes: 0.0,
-    };
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+    let weight_nnz: usize = workload.filters.iter().map(|f| f.nnz()).sum();
+    let traffic = Traffic::dense(
+        shape,
+        workload.input.nnz() as f64,
+        weight_nnz as f64,
+        config,
+    );
+    let memory_cycles = config.memory.cycles(&traffic);
 
     SimResult {
         scheme: "Bit-serial",
         compute_cycles: makespan,
         memory_cycles,
         total_units,
-        breakdown: Breakdown {
-            nonzero: total_digit_work,
-            zero: 0, // zero bits are skipped; zero values cost no digits
-            intra,
-            inter,
-        },
+        breakdown,
         traffic,
         ops: OpCounts {
             macs_nonzero: total_digit_work,
@@ -200,6 +186,7 @@ pub fn simulate_bitserial(workload: &Workload, config: &SimConfig) -> SimResult 
 mod tests {
     use super::*;
     use crate::runner::{simulate_layer, Scheme};
+    use crate::workmodel::MaskModel;
     use sparten_nn::generate::workload;
     use sparten_nn::ConvShape;
 

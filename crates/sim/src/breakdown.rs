@@ -7,6 +7,17 @@
 //! barriers). All four are in *MAC-slot cycles*: their sum equals
 //! `compute_cycles × total_mac_units`, so dividing by Dense's total gives
 //! the paper's normalized stacked bars.
+//!
+//! [`Traffic`]'s formulas are functions of non-zero counts, so the
+//! simulators (measured counts) and the analytical model in
+//! `sparten-model` (expected counts) share one definition of every
+//! scheme's DRAM traffic.
+
+use sparten_nn::ConvShape;
+
+use crate::config::SimConfig;
+use crate::scnn::ScnnVariant;
+use crate::sparten::Sparsity;
 
 /// Execution-time breakdown in MAC-slot cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,6 +37,34 @@ impl Breakdown {
     /// Total slots: must equal `compute_cycles × units`.
     pub fn total(&self) -> u64 {
         self.nonzero + self.zero + self.intra + self.inter
+    }
+
+    /// The makespan and breakdown of clusters that run side by side, each
+    /// `units` wide: cluster `c` takes `cycles[c]` cycles with `busy[c]`
+    /// busy MAC slots, `nonzero` of all busy slots multiply two non-zero
+    /// operands, and the rest are zero computation.
+    ///
+    /// Intra is each cluster's idle slots, `Σ (cycles·units − busy)`; inter
+    /// is the faster clusters' slack, `Σ (makespan − cycles)·units`. The four
+    /// terms sum to `makespan × clusters × units` by construction.
+    pub(crate) fn from_clusters(
+        cycles: &[u64],
+        busy: &[u64],
+        units: u64,
+        nonzero: u64,
+    ) -> (u64, Self) {
+        let makespan = cycles.iter().copied().max().unwrap_or(0);
+        let mut b = Breakdown {
+            nonzero,
+            zero: busy.iter().sum::<u64>() - nonzero,
+            intra: 0,
+            inter: 0,
+        };
+        for (&c, &w) in cycles.iter().zip(busy) {
+            b.intra += c * units - w;
+            b.inter += (makespan - c) * units;
+        }
+        (makespan, b)
     }
 }
 
@@ -49,6 +88,133 @@ impl Traffic {
     /// Total DRAM bytes moved.
     pub fn total_bytes(&self) -> f64 {
         self.input_bytes + self.filter_bytes + self.output_bytes
+    }
+
+    /// Dense traffic: every value travels, zeros included, with no
+    /// metadata. `input_nnz` and `weight_nnz` count the layer's non-zero
+    /// input cells and weights (all filters).
+    pub fn dense(shape: &ConvShape, input_nnz: f64, weight_nnz: f64, config: &SimConfig) -> Self {
+        let elem = config.memory.element_bytes as f64;
+        let batch = config.memory.batch as f64;
+        let input_cells = shape.input_cells() as f64;
+        let weight_cells = shape.weight_cells() as f64;
+        let out_cells = shape.num_outputs() as f64;
+
+        let input_zero = input_cells - input_nnz;
+        let filter_zero = (weight_cells - weight_nnz) / batch;
+        let output_zero = out_cells * (1.0 - config.memory.output_density);
+
+        Traffic {
+            input_bytes: input_cells * elem,
+            filter_bytes: weight_cells * elem / batch,
+            output_bytes: out_cells * elem,
+            zero_value_bytes: (input_zero + filter_zero + output_zero) * elem,
+            metadata_bytes: 0.0,
+        }
+    }
+
+    /// SparTen-family traffic: sparse tensors move as packed non-zero values
+    /// plus per-chunk SparseMaps; one-sided keeps filters dense.
+    pub fn sparten(
+        shape: &ConvShape,
+        input_nnz: f64,
+        weight_nnz: f64,
+        sparsity: Sparsity,
+        config: &SimConfig,
+    ) -> Self {
+        let elem = config.memory.element_bytes as f64;
+        let batch = config.memory.batch as f64;
+        let chunk = config.accel.cluster.chunk_size;
+        let mask_bytes_per_chunk = chunk as f64 / 8.0;
+        let chunks_per_fiber = shape.in_channels.div_ceil(chunk) as f64;
+        let k2 = (shape.kernel * shape.kernel) as f64;
+
+        let input_fibers = (shape.in_height * shape.in_width) as f64;
+        let input_mask_bytes = input_fibers * chunks_per_fiber * mask_bytes_per_chunk;
+        let input_bytes = input_nnz * elem + input_mask_bytes;
+
+        let weight_cells = shape.weight_cells() as f64;
+        let filter_mask_bytes =
+            shape.num_filters as f64 * k2 * chunks_per_fiber * mask_bytes_per_chunk;
+        let (filter_bytes, filter_zero_bytes, filter_meta) = match sparsity {
+            Sparsity::TwoSided => (
+                (weight_nnz * elem + filter_mask_bytes) / batch,
+                0.0,
+                filter_mask_bytes / batch,
+            ),
+            // One-sided architectures store filters dense: zeros travel.
+            Sparsity::OneSided => (
+                weight_cells * elem / batch,
+                (weight_cells - weight_nnz) * elem / batch,
+                0.0,
+            ),
+        };
+
+        let out_cells = shape.num_outputs() as f64;
+        let out_nnz = out_cells * config.memory.output_density;
+        let out_chunks = (shape.out_height() * shape.out_width()) as f64
+            * shape.num_filters.div_ceil(chunk) as f64;
+        let output_mask_bytes = out_chunks * mask_bytes_per_chunk;
+        let output_bytes = out_nnz * elem + output_mask_bytes;
+
+        Traffic {
+            input_bytes,
+            filter_bytes,
+            output_bytes,
+            zero_value_bytes: filter_zero_bytes,
+            metadata_bytes: input_mask_bytes + filter_meta + output_mask_bytes,
+        }
+    }
+
+    /// SCNN traffic: CSR-style storage — values plus ~4-bit coordinates per
+    /// non-zero (half a byte of index metadata); a variant's dense sides
+    /// move every value instead.
+    pub fn scnn(
+        shape: &ConvShape,
+        input_nnz: f64,
+        weight_nnz: f64,
+        variant: ScnnVariant,
+        config: &SimConfig,
+    ) -> Self {
+        let elem = config.memory.element_bytes as f64;
+        let batch = config.memory.batch as f64;
+        let idx = 0.5; // bytes of coordinate metadata per stored value
+        let input_cells = shape.input_cells() as f64;
+        let weight_cells = shape.weight_cells() as f64;
+        let out_cells = shape.num_outputs() as f64;
+
+        let (input_bytes, input_zero, input_meta) = if variant == ScnnVariant::Dense {
+            (input_cells * elem, input_cells - input_nnz, 0.0)
+        } else {
+            (input_nnz * (elem + idx), 0.0, input_nnz * idx)
+        };
+        let (filter_bytes, filter_zero, filter_meta) = if variant == ScnnVariant::Full {
+            (
+                weight_nnz * (elem + idx) / batch,
+                0.0,
+                weight_nnz * idx / batch,
+            )
+        } else {
+            (
+                weight_cells * elem / batch,
+                (weight_cells - weight_nnz) / batch,
+                0.0,
+            )
+        };
+        let out_nnz = out_cells * config.memory.output_density;
+        let (output_bytes, output_meta) = if variant == ScnnVariant::Dense {
+            (out_cells * elem, 0.0)
+        } else {
+            (out_nnz * (elem + idx), out_nnz * idx)
+        };
+
+        Traffic {
+            input_bytes,
+            filter_bytes,
+            output_bytes,
+            zero_value_bytes: (input_zero + filter_zero) * elem,
+            metadata_bytes: input_meta + filter_meta + output_meta,
+        }
     }
 }
 

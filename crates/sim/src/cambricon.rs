@@ -136,24 +136,21 @@ pub fn simulate_cambricon_telemetry(
         }
     }
 
-    let makespan = cluster_cycles.iter().copied().max().unwrap_or(0);
     let total_units = (units * num_clusters) as u64;
     let total_macs: u64 = cluster_busy.iter().sum();
-    let nonzero = useful_model.total_sparse_macs().min(total_macs);
-    let zero = total_macs - nonzero;
-    let mut intra = 0u64;
-    let mut inter = 0u64;
-    for c in 0..num_clusters {
-        intra += cluster_cycles[c] * units as u64 - cluster_busy[c];
-        inter += (makespan - cluster_cycles[c]) * units as u64;
-    }
+    let (makespan, breakdown) = Breakdown::from_clusters(
+        &cluster_cycles,
+        &cluster_busy,
+        units as u64,
+        useful_model.total_sparse_macs().min(total_macs),
+    );
 
     let traffic = cambricon_traffic(&pruned, &executed_model, config);
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+    let memory_cycles = config.memory.cycles(&traffic);
 
     if let Some(pr) = &probe {
-        pr.work(nonzero, zero);
-        pr.stall(StallCause::ClusterIdle, inter);
+        pr.work(breakdown.nonzero, breakdown.zero);
+        pr.stall(StallCause::ClusterIdle, breakdown.inter);
         pr.traffic(&traffic);
         pr.gauge("occupancy.makespan_cycles", makespan as f64);
         pr.count("prune.clamped_keepers", prune_report.clamped_keepers as u64);
@@ -165,16 +162,11 @@ pub fn simulate_cambricon_telemetry(
             compute_cycles: makespan,
             memory_cycles,
             total_units,
-            breakdown: Breakdown {
-                nonzero,
-                zero,
-                intra,
-                inter,
-            },
+            breakdown,
             traffic,
             ops: OpCounts {
-                macs_nonzero: nonzero,
-                macs_zero: zero,
+                macs_nonzero: breakdown.nonzero,
+                macs_zero: breakdown.zero,
                 buffer_accesses: 3 * total_macs,
                 prefix_ops: 0,
                 encoder_ops: total_macs,

@@ -8,6 +8,8 @@
 
 use sparten_core::AcceleratorConfig;
 
+use crate::breakdown::Traffic;
+
 /// Memory-system parameters shared by all simulated architectures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
@@ -43,6 +45,11 @@ impl MemoryConfig {
             batch: 16,
             output_density: 0.5,
         }
+    }
+
+    /// The memory bound: cycles to move `traffic` at this bandwidth.
+    pub fn cycles(&self, traffic: &Traffic) -> u64 {
+        (traffic.total_bytes() / self.bytes_per_cycle).ceil() as u64
     }
 }
 

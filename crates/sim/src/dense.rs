@@ -16,13 +16,9 @@ use crate::config::SimConfig;
 use crate::probe::Probe;
 use crate::workmodel::MaskModel;
 
-/// Simulates one layer on the dense baseline.
-pub fn simulate_dense(workload: &Workload, model: &MaskModel, config: &SimConfig) -> SimResult {
-    simulate_dense_telemetry(workload, model, config, None)
-}
-
-/// [`simulate_dense`] with an optional telemetry session.
-pub fn simulate_dense_telemetry(
+/// Simulates one layer on the dense baseline, recording into `tel` when
+/// given.
+pub fn simulate_dense(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
@@ -48,21 +44,22 @@ pub fn simulate_dense_telemetry(
         cluster_busy[cluster] = slice * shape.num_filters as u64 * work_per_output;
     }
 
-    let makespan = cluster_cycles.iter().copied().max().unwrap_or(0);
     let total_units = (units * num_clusters) as u64;
     let total_macs: u64 = cluster_busy.iter().sum();
-    let nonzero = model.total_sparse_macs();
-    let zero = total_macs - nonzero;
+    let (makespan, breakdown) = Breakdown::from_clusters(
+        &cluster_cycles,
+        &cluster_busy,
+        units as u64,
+        model.total_sparse_macs(),
+    );
 
-    let mut intra = 0u64;
-    let mut inter = 0u64;
-    for c in 0..num_clusters {
-        intra += cluster_cycles[c] * units as u64 - cluster_busy[c];
-        inter += (makespan - cluster_cycles[c]) * units as u64;
-    }
-
-    let traffic = dense_traffic(workload, model, config);
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+    let traffic = Traffic::dense(
+        shape,
+        model.input_nnz() as f64,
+        model.weight_nnz() as f64,
+        config,
+    );
+    let memory_cycles = config.memory.cycles(&traffic);
 
     if let Some(t) = tel {
         let probe = Probe::new(t, "Dense");
@@ -82,11 +79,11 @@ pub fn simulate_dense_telemetry(
                 );
             }
         }
-        probe.work(nonzero, zero);
+        probe.work(breakdown.nonzero, breakdown.zero);
         // Dense lockstep clusters have exactly one intra loss: partially
         // filled filter groups leaving units idle.
-        probe.stall(StallCause::UnitUnderfill, intra);
-        probe.stall(StallCause::ClusterIdle, inter);
+        probe.stall(StallCause::UnitUnderfill, breakdown.intra);
+        probe.stall(StallCause::ClusterIdle, breakdown.inter);
         probe.traffic(&traffic);
         probe.gauge("occupancy.makespan_cycles", makespan as f64);
     }
@@ -96,16 +93,11 @@ pub fn simulate_dense_telemetry(
         compute_cycles: makespan,
         memory_cycles,
         total_units,
-        breakdown: Breakdown {
-            nonzero,
-            zero,
-            intra,
-            inter,
-        },
+        breakdown,
         traffic,
         ops: OpCounts {
-            macs_nonzero: nonzero,
-            macs_zero: zero,
+            macs_nonzero: breakdown.nonzero,
+            macs_zero: breakdown.zero,
             buffer_accesses: 3 * total_macs,
             prefix_ops: 0,
             encoder_ops: 0,
@@ -113,28 +105,6 @@ pub fn simulate_dense_telemetry(
             compact_ops: 0,
             crossbar_ops: 0,
         },
-    }
-}
-
-/// Dense traffic: every value travels, zeros included, with no metadata.
-fn dense_traffic(workload: &Workload, model: &MaskModel, config: &SimConfig) -> Traffic {
-    let shape = &workload.shape;
-    let elem = config.memory.element_bytes as f64;
-    let batch = config.memory.batch as f64;
-    let input_cells = shape.input_cells() as f64;
-    let weight_cells = shape.weight_cells() as f64;
-    let out_cells = shape.num_outputs() as f64;
-
-    let input_zero = input_cells - model.input_nnz() as f64;
-    let filter_zero = (weight_cells - model.weight_nnz() as f64) / batch;
-    let output_zero = out_cells * (1.0 - config.memory.output_density);
-
-    Traffic {
-        input_bytes: input_cells * elem,
-        filter_bytes: weight_cells * elem / batch,
-        output_bytes: out_cells * elem,
-        zero_value_bytes: (input_zero + filter_zero + output_zero) * elem,
-        metadata_bytes: 0.0,
     }
 }
 
@@ -157,7 +127,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.4, 1);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.accounting_holds());
     }
 
@@ -169,7 +139,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.4, 2);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert_eq!(r.compute_cycles, 18 * 2 * (9 * 32) as u64);
     }
 
@@ -179,7 +149,7 @@ mod tests {
         let w = workload(&shape, 0.2, 0.2, 3);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.breakdown.zero > r.breakdown.nonzero);
     }
 
@@ -189,7 +159,7 @@ mod tests {
         let w = workload(&shape, 0.3, 0.3, 4);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.traffic.zero_value_bytes > 0.0);
         assert_eq!(r.traffic.metadata_bytes, 0.0);
     }
@@ -201,7 +171,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.5, 5);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.breakdown.inter > 0);
     }
 }

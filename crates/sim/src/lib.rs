@@ -46,10 +46,8 @@ pub use goals::{design_goal_table, DesignGoals};
 pub use probe::{reconcile_and_merge, Probe, StallTally};
 pub use runner::{
     simulate_layer, simulate_layer_telemetry, simulate_schemes, simulate_spec,
-    simulate_spec_batch, try_simulate_layer, try_simulate_layer_telemetry, BatchResult, Scheme,
+    simulate_spec_batch, try_simulate_layer, BatchResult, Scheme,
 };
-pub use scnn::simulate_scnn_faulted;
-pub use sparten::simulate_sparten_faulted;
 pub use scnn_engine::{scnn_cartesian_conv, scnn_cartesian_conv_telemetry, CartesianStats};
 pub use sweeps::{density_sweep, scaling_sweep, DensityPoint, ScalingPoint};
 pub use trace::{trace_cluster, trace_cluster_telemetry, ChunkEvent, ClusterTraceLog};

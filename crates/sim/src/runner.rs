@@ -10,13 +10,10 @@ use sparten_telemetry::{ReconcileError, Telemetry};
 
 use crate::breakdown::SimResult;
 use crate::config::SimConfig;
-use crate::dense::{simulate_dense, simulate_dense_telemetry};
+use crate::dense::simulate_dense;
 use crate::probe::reconcile_and_merge;
-use crate::scnn::{simulate_scnn, simulate_scnn_faulted, simulate_scnn_telemetry, ScnnVariant};
-use crate::sparten::{
-    layer_balance, simulate_sparten, simulate_sparten_faulted, simulate_sparten_pass,
-    simulate_sparten_telemetry, Run, Sparsity,
-};
+use crate::scnn::{simulate_scnn, ScnnVariant};
+use crate::sparten::{layer_balance, simulate_sparten_pass, Run, Sparsity};
 use crate::workmodel::MaskModel;
 
 /// The eight architectures compared in §5.1.
@@ -55,12 +52,6 @@ impl Scheme {
         ]
     }
 
-    /// The inverse of [`Scheme::label`], for rebuilding schemes from cache
-    /// records and CLI filters.
-    pub fn from_label(label: &str) -> Option<Scheme> {
-        Scheme::all().into_iter().find(|s| s.label() == label)
-    }
-
     /// The label used in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -74,18 +65,70 @@ impl Scheme {
             Scheme::ScnnDense => "SCNN-dense",
         }
     }
+}
 
-    /// The SparTen datapath a SparTen-family scheme runs on; `None` for
-    /// Dense and the SCNN variants.
-    fn sparten(self) -> Option<(Sparsity, BalanceMode)> {
-        match self {
-            Scheme::OneSided => Some((Sparsity::OneSided, BalanceMode::None)),
-            Scheme::SpartenNoGb => Some((Sparsity::TwoSided, BalanceMode::None)),
-            Scheme::SpartenGbS => Some((Sparsity::TwoSided, BalanceMode::GbS)),
-            Scheme::SpartenGbH => Some((Sparsity::TwoSided, BalanceMode::GbH)),
-            Scheme::Dense | Scheme::Scnn | Scheme::ScnnOneSided | Scheme::ScnnDense => None,
-        }
-    }
+/// Simulates every scheme in `schemes` on one layer, in order: the one
+/// place a [`Scheme`] meets its simulator.
+///
+/// The SparTen-family schemes (One-sided, no-GB, GB-S, GB-H) share one
+/// pass over the output positions, which computes each (position, filter,
+/// chunk) join once for all of them and stores the layer's MAC total in
+/// `model`; Dense and the SCNN variants run after it and read that total.
+/// Scheme `i` records into `sessions[i]` when `sessions` is not empty, and
+/// every scheme runs with `fault` injected when there is one.
+fn simulate(
+    workload: &Workload,
+    model: &MaskModel,
+    config: &SimConfig,
+    schemes: &[Scheme],
+    sessions: &[Telemetry],
+    fault: Option<&UnitFaultSpec>,
+) -> Vec<Result<SimResult, SimError>> {
+    let runs = schemes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &scheme)| {
+            let (sparsity, mode) = match scheme {
+                Scheme::OneSided => (Sparsity::OneSided, BalanceMode::None),
+                Scheme::SpartenNoGb => (Sparsity::TwoSided, BalanceMode::None),
+                Scheme::SpartenGbS => (Sparsity::TwoSided, BalanceMode::GbS),
+                Scheme::SpartenGbH => (Sparsity::TwoSided, BalanceMode::GbH),
+                Scheme::Dense | Scheme::Scnn | Scheme::ScnnOneSided | Scheme::ScnnDense => {
+                    return None
+                }
+            };
+            let balance = layer_balance(workload, config, sparsity, mode);
+            Some(Run::new(
+                model,
+                config,
+                sparsity,
+                balance,
+                sessions.get(i),
+                fault,
+            ))
+        })
+        .collect();
+    let mut pass = simulate_sparten_pass(workload, model, config, runs).into_iter();
+    schemes
+        .iter()
+        .enumerate()
+        .map(|(i, &scheme)| {
+            let tel = sessions.get(i);
+            let scnn = |variant| simulate_scnn(workload, model, config, variant, tel, fault);
+            match scheme {
+                Scheme::Dense => Ok(simulate_dense(workload, model, config, tel)),
+                Scheme::OneSided
+                | Scheme::SpartenNoGb
+                | Scheme::SpartenGbS
+                | Scheme::SpartenGbH => pass
+                    .next()
+                    .expect("the pass timed every SparTen-family scheme"),
+                Scheme::Scnn => scnn(ScnnVariant::Full),
+                Scheme::ScnnOneSided => scnn(ScnnVariant::OneSided),
+                Scheme::ScnnDense => scnn(ScnnVariant::Dense),
+            }
+        })
+        .collect()
 }
 
 /// Simulates one layer workload on one scheme, reusing a prebuilt mask
@@ -96,76 +139,8 @@ pub fn simulate_layer(
     config: &SimConfig,
     scheme: Scheme,
 ) -> SimResult {
-    match scheme {
-        Scheme::Dense => simulate_dense(workload, model, config),
-        Scheme::OneSided => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::OneSided,
-            BalanceMode::None,
-        ),
-        Scheme::SpartenNoGb => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::None,
-        ),
-        Scheme::SpartenGbS => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbS,
-        ),
-        Scheme::SpartenGbH => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbH,
-        ),
-        Scheme::Scnn => simulate_scnn(workload, model, config, ScnnVariant::Full),
-        Scheme::ScnnOneSided => simulate_scnn(workload, model, config, ScnnVariant::OneSided),
-        Scheme::ScnnDense => simulate_scnn(workload, model, config, ScnnVariant::Dense),
-    }
-}
-
-/// Simulates one layer workload on every scheme in `schemes`, returning
-/// the results in the same order; each equals [`simulate_layer`]'s.
-///
-/// The SparTen-family schemes (One-sided, no-GB, GB-S, GB-H) share one
-/// pass over the output positions, which computes each (position, filter,
-/// chunk) join once for all of them and stores the layer's MAC total in
-/// `model` for the other schemes to read.
-pub fn simulate_schemes(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    schemes: &[Scheme],
-) -> Vec<SimResult> {
-    let (slots, runs): (Vec<usize>, Vec<Run<'_>>) = schemes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| {
-            let (sparsity, mode) = s.sparten()?;
-            let balance = layer_balance(workload, config, sparsity, mode);
-            Some((i, Run::new(model, config, sparsity, balance, None, None)))
-        })
-        .unzip();
-    let mut results: Vec<Option<SimResult>> = vec![None; schemes.len()];
-    for (i, r) in slots
-        .into_iter()
-        .zip(simulate_sparten_pass(workload, model, config, runs))
-    {
-        results[i] = Some(r.expect("fault-free simulation cannot fail"));
-    }
-    results
-        .into_iter()
-        .zip(schemes)
-        .map(|(r, &s)| r.unwrap_or_else(|| simulate_layer(workload, model, config, s)))
-        .collect()
+    try_simulate_layer(workload, model, config, scheme, None)
+        .expect("fault-free simulation cannot fail")
 }
 
 /// Fallible [`simulate_layer`]: simulates with an optional injected compute
@@ -176,7 +151,10 @@ pub fn simulate_schemes(
 /// schemes interpret `fault.cluster`/`fault.unit` directly; SCNN variants
 /// treat `fault.cluster` as the flat PE index (`fault.unit` is ignored);
 /// the Dense scheme has no sparse compute units to perturb, so faults are
-/// documented no-ops there.
+/// documented no-ops there. A slow victim stretches only its latency at
+/// each barrier: work counts and the accounting identity are unchanged,
+/// and the lost time shows up as barrier idle. A stuck victim holding any
+/// non-zero work fails the layer with [`SimError::StuckUnit`].
 pub fn try_simulate_layer(
     workload: &Workload,
     model: &MaskModel,
@@ -184,49 +162,47 @@ pub fn try_simulate_layer(
     scheme: Scheme,
     fault: Option<&UnitFaultSpec>,
 ) -> Result<SimResult, SimError> {
-    let Some(fault) = fault else {
-        return Ok(simulate_layer(workload, model, config, scheme));
-    };
-    let sparten = |sparsity, mode| {
-        simulate_sparten_faulted(workload, model, config, sparsity, mode, fault, None)
-    };
-    let scnn = |variant| simulate_scnn_faulted(workload, model, config, variant, fault, None);
-    match scheme {
-        Scheme::Dense => Ok(simulate_dense(workload, model, config)),
-        Scheme::OneSided => sparten(Sparsity::OneSided, BalanceMode::None),
-        Scheme::SpartenNoGb => sparten(Sparsity::TwoSided, BalanceMode::None),
-        Scheme::SpartenGbS => sparten(Sparsity::TwoSided, BalanceMode::GbS),
-        Scheme::SpartenGbH => sparten(Sparsity::TwoSided, BalanceMode::GbH),
-        Scheme::Scnn => scnn(ScnnVariant::Full),
-        Scheme::ScnnOneSided => scnn(ScnnVariant::OneSided),
-        Scheme::ScnnDense => scnn(ScnnVariant::Dense),
-    }
+    simulate(workload, model, config, &[scheme], &[], fault).remove(0)
 }
 
-/// Fallible [`simulate_layer_telemetry`]: same contract, but reconcile
-/// failures come back as [`SimError::Invariant`] so callers can thread one
-/// error type through both simulation and telemetry checks.
-pub fn try_simulate_layer_telemetry(
+/// Simulates one layer workload on every scheme in `schemes`, returning
+/// the results in the same order; each equals [`simulate_layer`]'s.
+///
+/// The SparTen-family schemes share one pass over the layer. With
+/// `telemetry: Some((session, track_prefix))`, each scheme records into a
+/// fresh local session; after the pass, each local session's stall and
+/// work counters are checked to reconcile *exactly* with its scheme's
+/// breakdown (`nonzero + zero + intra + inter == compute_cycles × units`),
+/// and only then folded into `session` in scheme order (Perfetto tracks
+/// prefixed with `track_prefix`, e.g. `"conv1:"`). The merged session is
+/// the one tracing each scheme on its own would build, and the
+/// local-session-then-merge dance keeps the invariant exact even when many
+/// layers record into one shared session from worker threads.
+pub fn simulate_schemes(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
-    scheme: Scheme,
-    session: &Telemetry,
-    track_prefix: &str,
-) -> Result<SimResult, SimError> {
-    simulate_layer_telemetry(workload, model, config, scheme, session, track_prefix)
-        .map_err(|e| SimError::invariant("telemetry reconcile", e))
+    schemes: &[Scheme],
+    telemetry: Option<(&Telemetry, &str)>,
+) -> Result<Vec<SimResult>, ReconcileError> {
+    let locals: Vec<Telemetry> = match telemetry {
+        Some(_) => schemes.iter().map(|_| Telemetry::new()).collect(),
+        None => Vec::new(),
+    };
+    let results: Vec<SimResult> = simulate(workload, model, config, schemes, &locals, None)
+        .into_iter()
+        .map(|r| r.expect("fault-free simulation cannot fail"))
+        .collect();
+    if let Some((session, track_prefix)) = telemetry {
+        for (local, result) in locals.into_iter().zip(&results) {
+            reconcile_and_merge(local, result, session, track_prefix)?;
+        }
+    }
+    Ok(results)
 }
 
-/// [`simulate_layer`] with telemetry: runs the scheme's instrumented
-/// simulator into a fresh local session, checks that the recorded stall
-/// and work counters reconcile *exactly* with the returned breakdown
-/// (`nonzero + zero + intra + inter == compute_cycles × units`), and only
-/// then folds the session into `session` (Perfetto tracks prefixed with
-/// `track_prefix`, e.g. `"conv1:"`).
-///
-/// The local-session-then-merge dance keeps the invariant exact even when
-/// many layers record into one shared session from worker threads.
+/// [`simulate_layer`] with telemetry: a traced [`simulate_schemes`] on one
+/// scheme.
 pub fn simulate_layer_telemetry(
     workload: &Workload,
     model: &MaskModel,
@@ -235,52 +211,8 @@ pub fn simulate_layer_telemetry(
     session: &Telemetry,
     track_prefix: &str,
 ) -> Result<SimResult, ReconcileError> {
-    let local = Telemetry::new();
-    let tel = Some(&local);
-    let result = match scheme {
-        Scheme::Dense => simulate_dense_telemetry(workload, model, config, tel),
-        Scheme::OneSided => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::OneSided,
-            BalanceMode::None,
-            tel,
-        ),
-        Scheme::SpartenNoGb => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::None,
-            tel,
-        ),
-        Scheme::SpartenGbS => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbS,
-            tel,
-        ),
-        Scheme::SpartenGbH => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbH,
-            tel,
-        ),
-        Scheme::Scnn => simulate_scnn_telemetry(workload, model, config, ScnnVariant::Full, tel),
-        Scheme::ScnnOneSided => {
-            simulate_scnn_telemetry(workload, model, config, ScnnVariant::OneSided, tel)
-        }
-        Scheme::ScnnDense => {
-            simulate_scnn_telemetry(workload, model, config, ScnnVariant::Dense, tel)
-        }
-    };
-    reconcile_and_merge(local, &result, session, track_prefix)?;
-    Ok(result)
+    let telemetry = Some((session, track_prefix));
+    Ok(simulate_schemes(workload, model, config, &[scheme], telemetry)?.remove(0))
 }
 
 /// Generates a Table 3 layer's synthetic workload and simulates it.

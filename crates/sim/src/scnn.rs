@@ -79,47 +79,14 @@ fn subtiles(start: usize, len: usize, cap: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Simulates one layer on SCNN.
-pub fn simulate_scnn(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-) -> SimResult {
-    simulate_scnn_telemetry(workload, model, config, variant, None)
-}
-
-/// [`simulate_scnn`] with an optional telemetry session.
-pub fn simulate_scnn_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-    tel: Option<&Telemetry>,
-) -> SimResult {
-    simulate_scnn_inner(workload, model, config, variant, tel, None)
-        .expect("fault-free simulation cannot fail")
-}
-
-/// [`simulate_scnn`] with a stuck/slow PE fault injected.
+/// Simulates one layer on SCNN, recording into `tel` when given.
 ///
-/// The victim is `fault.cluster` interpreted as the flat PE index
+/// A `fault`'s victim is `fault.cluster` interpreted as the flat PE index
 /// (`fault.unit` is ignored — SCNN's barrier is PE-granular). A slow PE
 /// stretches only the per-step barrier, leaving work counts and the
 /// cycle-accounting identity intact; a stuck PE holding nonzero work
 /// returns [`SimError::StuckUnit`].
-pub fn simulate_scnn_faulted(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-    fault: &UnitFaultSpec,
-    tel: Option<&Telemetry>,
-) -> Result<SimResult, SimError> {
-    simulate_scnn_inner(workload, model, config, variant, tel, Some(fault))
-}
-
-fn simulate_scnn_inner(
+pub fn simulate_scnn(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
@@ -265,8 +232,14 @@ fn simulate_scnn_inner(
         .map(|&cy| (makespan - cy) * slots_per_cycle)
         .sum();
 
-    let traffic = scnn_traffic(workload, model, config, variant);
-    let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+    let traffic = Traffic::scnn(
+        shape,
+        model.input_nnz() as f64,
+        model.weight_nnz() as f64,
+        variant,
+        config,
+    );
+    let memory_cycles = config.memory.cycles(&traffic);
     let total_units = (scnn.num_pes as u64) * slots_per_cycle;
 
     if let Some(pr) = &probe {
@@ -317,58 +290,6 @@ fn simulate_scnn_inner(
     })
 }
 
-/// SCNN traffic: CSR-style storage — values plus ~4-bit coordinates per
-/// non-zero (half a byte of index metadata).
-fn scnn_traffic(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-) -> Traffic {
-    let shape = &workload.shape;
-    let elem = config.memory.element_bytes as f64;
-    let batch = config.memory.batch as f64;
-    let idx = 0.5; // bytes of coordinate metadata per stored value
-    let input_cells = shape.input_cells() as f64;
-    let weight_cells = shape.weight_cells() as f64;
-    let out_cells = shape.num_outputs() as f64;
-    let input_nnz = model.input_nnz() as f64;
-    let weight_nnz = model.weight_nnz() as f64;
-
-    let (input_bytes, input_zero, input_meta) = if variant == ScnnVariant::Dense {
-        (input_cells * elem, input_cells - input_nnz, 0.0)
-    } else {
-        (input_nnz * (elem + idx), 0.0, input_nnz * idx)
-    };
-    let (filter_bytes, filter_zero, filter_meta) = if variant == ScnnVariant::Full {
-        (
-            weight_nnz * (elem + idx) / batch,
-            0.0,
-            weight_nnz * idx / batch,
-        )
-    } else {
-        (
-            weight_cells * elem / batch,
-            (weight_cells - weight_nnz) / batch,
-            0.0,
-        )
-    };
-    let out_nnz = out_cells * config.memory.output_density;
-    let (output_bytes, output_meta) = if variant == ScnnVariant::Dense {
-        (out_cells * elem, 0.0)
-    } else {
-        (out_nnz * (elem + idx), out_nnz * idx)
-    };
-
-    Traffic {
-        input_bytes,
-        filter_bytes,
-        output_bytes,
-        zero_value_bytes: (input_zero + filter_zero) * elem,
-        metadata_bytes: input_meta + filter_meta + output_meta,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +300,10 @@ mod tests {
         let mut c = SimConfig::small(); // 16 PEs, 4×4 grid
         c.accel.num_clusters = 2;
         c
+    }
+
+    fn simulate(w: &Workload, m: &MaskModel, cfg: &SimConfig, v: ScnnVariant) -> SimResult {
+        simulate_scnn(w, m, cfg, v, None, None).expect("fault-free simulation cannot fail")
     }
 
     fn unit_stride_workload() -> Workload {
@@ -392,7 +317,7 @@ mod tests {
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
         for v in [ScnnVariant::Full, ScnnVariant::OneSided, ScnnVariant::Dense] {
-            let r = simulate_scnn(&w, &m, &cfg, v);
+            let r = simulate(&w, &m, &cfg, v);
             assert!(r.accounting_holds(), "{}: accounting broken", r.scheme);
         }
     }
@@ -402,9 +327,9 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let full = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
-        let one = simulate_scnn(&w, &m, &cfg, ScnnVariant::OneSided);
-        let dense = simulate_scnn(&w, &m, &cfg, ScnnVariant::Dense);
+        let full = simulate(&w, &m, &cfg, ScnnVariant::Full);
+        let one = simulate(&w, &m, &cfg, ScnnVariant::OneSided);
+        let dense = simulate(&w, &m, &cfg, ScnnVariant::Dense);
         assert!(full.cycles() < one.cycles());
         assert!(one.cycles() < dense.cycles());
     }
@@ -414,13 +339,13 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let clean = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let clean = simulate(&w, &m, &cfg, ScnnVariant::Full);
         let fault = UnitFaultSpec {
             cluster: 0, // flat PE index for SCNN
             unit: 0,
             fault: UnitFault::Slow(5),
         };
-        let slow = simulate_scnn_faulted(&w, &m, &cfg, ScnnVariant::Full, &fault, None)
+        let slow = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full, None, Some(&fault))
             .expect("slow PE is not a detection failure");
         assert_eq!(slow.breakdown.nonzero, clean.breakdown.nonzero);
         assert_eq!(slow.breakdown.zero, clean.breakdown.zero);
@@ -438,7 +363,7 @@ mod tests {
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let err = simulate_scnn_faulted(&w, &m, &cfg, ScnnVariant::Full, &fault, None)
+        let err = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full, None, Some(&fault))
             .expect_err("a stuck PE holding work must surface as an error");
         assert!(matches!(
             err,
@@ -451,13 +376,13 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let clean = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let clean = simulate(&w, &m, &cfg, ScnnVariant::Full);
         let fault = UnitFaultSpec {
             cluster: 9999,
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let faulted = simulate_scnn_faulted(&w, &m, &cfg, ScnnVariant::Full, &fault, None)
+        let faulted = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full, None, Some(&fault))
             .expect("a fault outside the PE grid cannot fire");
         assert_eq!(faulted.compute_cycles, clean.compute_cycles);
         assert_eq!(faulted.breakdown, clean.breakdown);
@@ -470,7 +395,7 @@ mod tests {
         let w = workload(&shape, 0.4, 0.35, 22);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = simulate(&w, &m, &cfg, ScnnVariant::Full);
         assert!(
             r.breakdown.zero as f64 > 2.0 * r.breakdown.nonzero as f64,
             "zero {} vs nonzero {}",
@@ -486,7 +411,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.4, 23);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = simulate(&w, &m, &cfg, ScnnVariant::Full);
         // Inter-PE loss must be at least the 7 idle PEs' share.
         let idle_share = r.breakdown.inter as f64 / r.breakdown.total() as f64;
         assert!(idle_share > 0.3, "idle share {idle_share}");
@@ -499,7 +424,7 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = simulate(&w, &m, &cfg, ScnnVariant::Full);
         let d = w.shape.in_channels;
         let mut in_c = vec![0u64; d];
         for y in 0..w.shape.in_width {
@@ -534,7 +459,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.35, 24);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = simulate(&w, &m, &cfg, ScnnVariant::Full);
         let intra_share = r.breakdown.intra as f64 / r.breakdown.total() as f64;
         assert!(intra_share > 0.2, "intra share {intra_share}");
     }

@@ -62,44 +62,8 @@ pub fn simulate_sparten(
     sparsity: Sparsity,
     mode: BalanceMode,
 ) -> SimResult {
-    simulate_sparten_telemetry(workload, model, config, sparsity, mode, None)
-}
-
-/// [`simulate_sparten`] with an optional telemetry session: stall-cause
-/// counters, occupancy gauges, chunk-barrier histograms, and sampled
-/// per-cluster timeline spans are recorded when `tel` is `Some`.
-pub fn simulate_sparten_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    mode: BalanceMode,
-    tel: Option<&Telemetry>,
-) -> SimResult {
     let balance = layer_balance(workload, config, sparsity, mode);
-    simulate_sparten_with_balance_telemetry(workload, model, config, sparsity, balance, tel)
-}
-
-/// [`simulate_sparten`] with a stuck/slow compute-unit fault injected.
-///
-/// A [`UnitFault::Slow`] straggler stretches only the victim's per-chunk
-/// *latency*: its useful work (and every cycle-accounting identity) is
-/// unchanged, the lost time shows up as barrier idle — so a slow unit is
-/// survivable and the result stays work-equivalent to the clean run. A
-/// [`UnitFault::Stuck`] unit that holds any nonzero work makes the layer
-/// unrecoverable and returns [`SimError::StuckUnit`].
-pub fn simulate_sparten_faulted(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    mode: BalanceMode,
-    fault: &UnitFaultSpec,
-    tel: Option<&Telemetry>,
-) -> Result<SimResult, SimError> {
-    let balance = layer_balance(workload, config, sparsity, mode);
-    let run = Run::new(model, config, sparsity, balance, tel, Some(fault));
-    simulate_one(workload, model, config, run)
+    simulate_sparten_with_balance(workload, model, config, sparsity, balance)
 }
 
 /// Simulates with an explicit balance assignment (e.g. k-way collocation
@@ -111,31 +75,11 @@ pub fn simulate_sparten_with_balance(
     sparsity: Sparsity,
     balance: LayerBalance,
 ) -> SimResult {
-    simulate_sparten_with_balance_telemetry(workload, model, config, sparsity, balance, None)
-}
-
-/// [`simulate_sparten_with_balance`] with an optional telemetry session.
-pub fn simulate_sparten_with_balance_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    balance: LayerBalance,
-    tel: Option<&Telemetry>,
-) -> SimResult {
-    let run = Run::new(model, config, sparsity, balance, tel, None);
-    simulate_one(workload, model, config, run).expect("fault-free simulation cannot fail")
-}
-
-fn simulate_one(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    run: Run<'_>,
-) -> Result<SimResult, SimError> {
+    let run = Run::new(model, config, sparsity, balance, None, None);
     simulate_sparten_pass(workload, model, config, vec![run])
         .pop()
         .expect("one run, one result")
+        .expect("fault-free simulation cannot fail")
 }
 
 /// The assignment a scheme runs under: `mode` balanced over the configured
@@ -166,13 +110,16 @@ pub(crate) fn layer_balance(
 /// with a two-sided run fills every table, so it also sums the layer's
 /// two-sided MACs and stores them in `model` (see
 /// [`MaskModel::total_sparse_macs`]). A run whose stuck unit fails stops
-/// there; the pass stops once every run has failed (at once, for none).
+/// there; the pass stops once every run has failed.
 pub(crate) fn simulate_sparten_pass(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
     mut runs: Vec<Run<'_>>,
 ) -> Vec<Result<SimResult, SimError>> {
+    if runs.is_empty() {
+        return Vec::new();
+    }
     let shape = &workload.shape;
     let num_clusters = config.accel.num_clusters;
     let oh = shape.out_height();
@@ -513,11 +460,8 @@ impl<'a> Run<'a> {
         }
         let shape = &workload.shape;
         let (sparsity, units) = (self.sparsity, self.units);
-        let num_clusters = self.cluster_cycles.len();
         let positions = shape.out_height() * shape.out_width();
         let total_macs: u64 = self.cluster_busy.iter().sum(); // MACs the datapath executes
-        let makespan = self.cluster_cycles.iter().copied().max().unwrap_or(0);
-        let total_units = units * num_clusters as u64;
 
         // Useful (both-non-zero) MACs: equal to the executed MACs for
         // two-sided; for one-sided the gap is zero computation.
@@ -525,23 +469,25 @@ impl<'a> Run<'a> {
             Sparsity::TwoSided => total_macs,
             Sparsity::OneSided => model.total_sparse_macs(),
         };
-        let zero_macs = total_macs - nonzero_macs;
+        let (makespan, breakdown) = Breakdown::from_clusters(
+            &self.cluster_cycles,
+            &self.cluster_busy,
+            units,
+            nonzero_macs,
+        );
 
-        // Intra: within each cluster, barrier slots minus that cluster's
-        // busy slots. Inter: slack of faster clusters against the makespan.
-        let mut intra = 0u64;
-        let mut inter = 0u64;
-        for c in 0..num_clusters {
-            intra += self.cluster_cycles[c] * units - self.cluster_busy[c];
-            inter += (makespan - self.cluster_cycles[c]) * units;
-        }
-
-        let traffic = sparten_traffic(workload, model, config, sparsity);
-        let memory_cycles = (traffic.total_bytes() / config.memory.bytes_per_cycle).ceil() as u64;
+        let traffic = Traffic::sparten(
+            shape,
+            model.input_nnz() as f64,
+            model.weight_nnz() as f64,
+            sparsity,
+            config,
+        );
+        let memory_cycles = config.memory.cycles(&traffic);
 
         if let Some(pr) = &self.probe {
-            pr.work(nonzero_macs, zero_macs);
-            pr.stall(StallCause::ClusterIdle, inter);
+            pr.work(breakdown.nonzero, breakdown.zero);
+            pr.stall(StallCause::ClusterIdle, breakdown.inter);
             // Registered at zero: the analytic model assumes a perfect
             // output collector, but the taxonomy slot stays visible in
             // reports.
@@ -559,17 +505,12 @@ impl<'a> Run<'a> {
             scheme: scheme_name(sparsity, self.mode),
             compute_cycles: makespan,
             memory_cycles,
-            total_units,
-            breakdown: Breakdown {
-                nonzero: nonzero_macs,
-                zero: zero_macs,
-                intra,
-                inter,
-            },
+            total_units: units * self.cluster_cycles.len() as u64,
+            breakdown,
             traffic,
             ops: OpCounts {
-                macs_nonzero: nonzero_macs,
-                macs_zero: zero_macs,
+                macs_nonzero: breakdown.nonzero,
+                macs_zero: breakdown.zero,
                 buffer_accesses: 3 * total_macs,
                 prefix_ops: prefix_per_join * self.chunk_joins,
                 encoder_ops: total_macs,
@@ -591,63 +532,10 @@ fn scheme_name(sparsity: Sparsity, mode: BalanceMode) -> &'static str {
     }
 }
 
-/// DRAM traffic for the SparTen family: sparse tensors move as packed
-/// non-zero values plus per-chunk SparseMaps; one-sided keeps filters dense.
-fn sparten_traffic(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-) -> Traffic {
-    let shape = &workload.shape;
-    let elem = config.memory.element_bytes as f64;
-    let batch = config.memory.batch as f64;
-    let chunk = config.accel.cluster.chunk_size;
-    let mask_bytes_per_chunk = (chunk / 8) as f64;
-    let chunks_per_fiber =
-        sparten_core::chunking::padded_fiber_len(shape.in_channels, chunk) / chunk;
-
-    let input_fibers = (shape.in_height * shape.in_width) as f64;
-    let input_mask_bytes = input_fibers * chunks_per_fiber as f64 * mask_bytes_per_chunk;
-    let input_bytes = model.input_nnz() as f64 * elem + input_mask_bytes;
-
-    let weight_cells = shape.weight_cells() as f64;
-    let filter_mask_bytes = (shape.num_filters * shape.kernel * shape.kernel * chunks_per_fiber)
-        as f64
-        * mask_bytes_per_chunk;
-    let (filter_bytes, filter_zero_bytes, filter_meta) = match sparsity {
-        Sparsity::TwoSided => (
-            (model.weight_nnz() as f64 * elem + filter_mask_bytes) / batch,
-            0.0,
-            filter_mask_bytes / batch,
-        ),
-        // One-sided architectures store filters dense: zeros travel.
-        Sparsity::OneSided => (
-            weight_cells * elem / batch,
-            (weight_cells - model.weight_nnz() as f64) * elem / batch,
-            0.0,
-        ),
-    };
-
-    let out_cells = shape.num_outputs() as f64;
-    let out_nnz = out_cells * config.memory.output_density;
-    let out_chunks = (shape.out_height() * shape.out_width()) as f64
-        * (shape.num_filters.div_ceil(chunk)) as f64;
-    let output_mask_bytes = out_chunks * mask_bytes_per_chunk;
-    let output_bytes = out_nnz * elem + output_mask_bytes;
-
-    Traffic {
-        input_bytes,
-        filter_bytes,
-        output_bytes,
-        zero_value_bytes: filter_zero_bytes,
-        metadata_bytes: input_mask_bytes + filter_meta + output_mask_bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{simulate_layer, try_simulate_layer, Scheme};
     use sparten_nn::generate::workload;
     use sparten_nn::ConvShape;
 
@@ -746,18 +634,10 @@ mod tests {
             unit: 0,
             fault: UnitFault::Slow(4),
         };
-        for sparsity in [Sparsity::OneSided, Sparsity::TwoSided] {
-            let clean = simulate_sparten(&w, &m, &cfg, sparsity, BalanceMode::None);
-            let slow = simulate_sparten_faulted(
-                &w,
-                &m,
-                &cfg,
-                sparsity,
-                BalanceMode::None,
-                &fault,
-                None,
-            )
-            .expect("slow unit is not a detection failure");
+        for scheme in [Scheme::OneSided, Scheme::SpartenNoGb] {
+            let clean = simulate_layer(&w, &m, &cfg, scheme);
+            let slow = try_simulate_layer(&w, &m, &cfg, scheme, Some(&fault))
+                .expect("slow unit is not a detection failure");
             // The straggler stretches latency only: true work is untouched,
             // and the cycle-accounting identity still closes exactly.
             assert_eq!(slow.breakdown.nonzero, clean.breakdown.nonzero);
@@ -777,16 +657,8 @@ mod tests {
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let err = simulate_sparten_faulted(
-            &w,
-            &m,
-            &cfg,
-            Sparsity::TwoSided,
-            BalanceMode::None,
-            &fault,
-            None,
-        )
-        .expect_err("a stuck unit holding work must surface as an error");
+        let err = try_simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb, Some(&fault))
+            .expect_err("a stuck unit holding work must surface as an error");
         assert!(matches!(
             err,
             sparten_core::SimError::StuckUnit { cluster: 0, unit: 0 }
@@ -804,16 +676,8 @@ mod tests {
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let faulted = simulate_sparten_faulted(
-            &w,
-            &m,
-            &cfg,
-            Sparsity::TwoSided,
-            BalanceMode::GbH,
-            &fault,
-            None,
-        )
-        .expect("a fault outside the array cannot fire");
+        let faulted = try_simulate_layer(&w, &m, &cfg, Scheme::SpartenGbH, Some(&fault))
+            .expect("a fault outside the array cannot fire");
         assert_eq!(faulted.compute_cycles, clean.compute_cycles);
         assert_eq!(faulted.breakdown, clean.breakdown);
     }

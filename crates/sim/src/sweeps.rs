@@ -49,7 +49,8 @@ pub fn density_sweep(
             let model = MaskModel::new(&w, config.accel.cluster.chunk_size);
             DensityPoint {
                 density,
-                results: simulate_schemes(&w, &model, config, schemes),
+                results: simulate_schemes(&w, &model, config, schemes, None)
+                    .expect("an untraced pass has nothing to reconcile"),
             }
         })
         .collect()

@@ -14,7 +14,8 @@
 //!    for their normalized stacked bars).
 //! 3. **One pass equals one scheme at a time** — `simulate_schemes`, which
 //!    times every SparTen-family scheme from one shared pass, returns
-//!    exactly what `simulate_layer` returns per scheme.
+//!    exactly what `simulate_layer` returns per scheme, and traced, merges
+//!    exactly the session that tracing each scheme on its own builds.
 //!
 //! The sweep is seeded and deterministic; `exhaustive-tests` widens it.
 
@@ -23,7 +24,10 @@ use sparten_core::chunking::{filter_to_chunks, linearize_window_padded};
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::ConvShape;
 use sparten_sim::cambricon::simulate_cambricon;
-use sparten_sim::{simulate_layer, simulate_schemes, MaskModel, Scheme, SimConfig};
+use sparten_sim::{
+    simulate_layer, simulate_layer_telemetry, simulate_schemes, MaskModel, Scheme, SimConfig,
+};
+use sparten_telemetry::{chrome_trace, Telemetry};
 use sparten_tensor::{Rng64, SparseVector};
 
 fn sweep_cases(default: usize, exhaustive: usize) -> usize {
@@ -189,7 +193,7 @@ fn one_pass_matches_per_scheme_simulation() {
         };
         for list in [&all[..], &reversed, &repeated] {
             let model = MaskModel::new(&w, chunk);
-            let got = simulate_schemes(&w, &model, &config, list);
+            let got = simulate_schemes(&w, &model, &config, list, None).unwrap();
             assert_eq!(got, expect(list), "{list:?} on {shape:?}");
             // The total the pass stored equals a fresh model's own sum,
             // and every two-sided run's busy total.
@@ -199,6 +203,24 @@ fn one_pass_matches_per_scheme_simulation() {
                 let busy = r.breakdown.nonzero + r.breakdown.zero;
                 assert_eq!(busy, total, "{}", r.scheme);
             }
+            // Traced, each scheme records into its own session and the
+            // sessions merge in scheme order: the same counters, gauges,
+            // histograms and timeline as tracing one scheme at a time.
+            let traced = Telemetry::new();
+            let model = MaskModel::new(&w, chunk);
+            let got = simulate_schemes(&w, &model, &config, list, Some((&traced, "l:"))).unwrap();
+            assert_eq!(got, expect(list), "traced {list:?} on {shape:?}");
+            let one_at_a_time = Telemetry::new();
+            for &s in list {
+                simulate_layer_telemetry(&w, &reference, &config, s, &one_at_a_time, "l:").unwrap();
+            }
+            let (a, b) = (traced.metrics.snapshot(), one_at_a_time.metrics.snapshot());
+            assert_eq!(a, b, "traced {list:?} on {shape:?}");
+            assert_eq!(
+                chrome_trace(&a, &traced.recorder),
+                chrome_trace(&b, &one_at_a_time.recorder),
+                "traced {list:?} on {shape:?}"
+            );
         }
     }
 }

@@ -50,6 +50,16 @@ echo "== harness telemetry smoke (Chrome trace + report) =="
 ( cd "$SMOKE/tree" && "$HARNESS_BIN" run --filter fig10_alexnet --jobs 2 \
     --no-artifacts --telemetry-dir "$SMOKE/tel" > /dev/null )
 test -s "$SMOKE/tel/fig10_alexnet_breakdown.json"
+# Telemetry is deterministic: a second run into a fresh directory exports
+# the same files, byte for byte apart from the one wall-clock gauge.
+( cd "$SMOKE/tree" && "$HARNESS_BIN" run --filter fig10_alexnet --jobs 2 \
+    --no-artifacts --telemetry-dir "$SMOKE/tel2" > /dev/null )
+test "$(ls "$SMOKE/tel2" | wc -l)" -eq "$(ls "$SMOKE/tel" | wc -l)"
+for f in "$SMOKE"/tel/*; do
+  grep -v 'harness/wall_seconds' "$f" > "$SMOKE/tel.first"
+  grep -v 'harness/wall_seconds' "$SMOKE/tel2/$(basename "$f")" > "$SMOKE/tel.second"
+  diff "$SMOKE/tel.first" "$SMOKE/tel.second"
+done
 "$HARNESS_BIN" report --telemetry-dir "$SMOKE/tel"
 # The machine-readable form carries the same jobs plus p50/p95/p99.
 "$HARNESS_BIN" report --telemetry-dir "$SMOKE/tel" --json | grep -q '"histograms"'
