@@ -273,7 +273,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
     } else {
         SimConfig::large()
     };
-    let log = trace_cluster(&w, &cfg, mode, 1);
+    let log = trace_cluster(&w, &cfg, mode, 1, None);
     println!(
         "{} {} under {mode:?}: utilization {:.0}%",
         net.name,

@@ -19,7 +19,6 @@ pub fn run() {
     let w = spec.workload(SEED);
     let cfg = SimConfig::large();
     let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-    let units = cfg.accel.total_macs();
 
     let depths = [
         ("B=1 (barrier)", BufferDepth::Bounded(1)),
@@ -35,8 +34,8 @@ pub fn run() {
             let r = simulate_buffered(&w, &model, &cfg, mode, depth);
             row.push(format!(
                 "{} ({:.0}%)",
-                r.cycles,
-                r.utilization(units) * 100.0
+                r.compute_cycles,
+                r.breakdown_fractions()[0] * 100.0
             ));
         }
         rows.push(row);
@@ -51,6 +50,6 @@ pub fn run() {
     crate::outln!(
         "\nGB-H with a strict barrier ({} cycles) beats no-GB with infinite \
          buffering ({} cycles): the imbalance is systematic, as §3.3 argues.",
-        gbh_b1.cycles, no_gb_inf.cycles
+        gbh_b1.compute_cycles, no_gb_inf.compute_cycles
     );
 }

@@ -8,7 +8,7 @@
 //!   is `positions × (per-position expected cycles)` with the slice's exact
 //!   padding coverage (borders are not spread evenly across clusters);
 //! * per position, each filter group walks every chunk of the window and
-//!   pays `max-over-units(work) + 1` cycles per chunk (the broadcast
+//!   pays `max-over-units(work) + CHUNK_OVERHEAD` cycles per chunk (the broadcast
 //!   barrier). The max is the only quantity that needs a statistical
 //!   approximation — everything else (coverage, group structure, chunk
 //!   taxonomy, op counts) is computed exactly, and the traffic is the
@@ -25,15 +25,11 @@
 //! simulators assemble theirs from measured tallies.
 
 use sparten_nn::ConvShape;
-use sparten_sim::sparten::Sparsity;
+use sparten_sim::sparten::{Sparsity, CHUNK_OVERHEAD};
 use sparten_sim::{Breakdown, OpCounts, Scheme, SimConfig, SimResult, Traffic};
 
 use crate::params::{Geometry, LayerParams};
 use crate::stats::{expected_max, expected_max_coeff};
-
-/// Extra cycle charged per chunk for mask broadcast (the simulators'
-/// `CHUNK_OVERHEAD`).
-const CHUNK_OVERHEAD: f64 = 1.0;
 
 /// Residual per-chunk popcount imbalance GB-H's greedy pairing cannot
 /// remove (odd splits, ranking ties), as an additive fraction of the
@@ -198,7 +194,7 @@ pub(crate) fn predict_accel(
             // units, so expectation is exact by linearity.
             let groups = nf.div_ceil(units) as f64;
             (
-                groups * chunks_w * CHUNK_OVERHEAD,
+                groups * chunks_w * CHUNK_OVERHEAD as f64,
                 groups * taps * d as f64 * rho_i,
                 e_one,
                 e_two,
@@ -214,7 +210,7 @@ pub(crate) fn predict_accel(
                 let mut s = (q - 1) as f64 * chunk_barrier(kind, chunk as f64, rho_i, rho_f);
                 s += chunk_barrier(kind, cc_rem, rho_i, rho_f);
                 slope += kind.count * taps * s;
-                base += kind.count * chunks_w * CHUNK_OVERHEAD;
+                base += kind.count * chunks_w * CHUNK_OVERHEAD as f64;
                 g_slots += kind.count * kind.slots;
             }
             // One extra input non-zero shifts every unit's overlap mean by

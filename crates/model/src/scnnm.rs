@@ -1,8 +1,8 @@
 //! Closed-form throughput model for SCNN's Cartesian-product dataflow.
 //!
 //! Mirrors `sparten_sim::scnn` step for step: the input plane splits over a
-//! `√PEs × √PEs` grid into ≤tile×tile sub-tiles (computed *exactly*, since
-//! the tile geometry is deterministic), and every (filter-group, channel)
+//! `√PEs × √PEs` grid into ≤tile×tile sub-tiles (the simulator's own
+//! [`tiles`], so the geometry is exact), and every (filter-group, channel)
 //! step costs `⌈F/e⌉ · max-over-PEs(Σ ⌈I_t/e⌉)` — the filter batch count
 //! is *shared* by every PE, so only the input side enters the max.
 //!
@@ -14,7 +14,7 @@
 //! sanity variants map to effective densities of 1.0 on the dense side(s),
 //! which collapses every distribution to a point mass.
 
-use sparten_sim::scnn::ScnnVariant;
+use sparten_sim::scnn::{tiles, ScnnVariant};
 use sparten_sim::{Breakdown, OpCounts, Scheme, SimConfig, SimResult, Traffic};
 
 use crate::params::{Geometry, LayerParams};
@@ -24,8 +24,6 @@ pub fn predict_scnn(params: &LayerParams, config: &SimConfig, scheme: Scheme) ->
     let shape = &params.shape;
     let geo = Geometry::new(shape);
     let scnn = &config.scnn;
-    let grid = (scnn.num_pes as f64).sqrt() as usize;
-    assert_eq!(grid * grid, scnn.num_pes, "PE count must be a square");
     let slots_per_cycle = (scnn.mult_edge * scnn.mult_edge) as u64;
     let (d, k, nf) = (shape.in_channels, shape.kernel, shape.num_filters);
 
@@ -41,17 +39,11 @@ pub fn predict_scnn(params: &LayerParams, config: &SimConfig, scheme: Scheme) ->
         _ => panic!("predict_scnn called with a non-SCNN scheme"),
     };
 
-    // Exact tile geometry: per-PE sub-tile cell counts.
+    // Exact tile geometry: per-PE sub-tile cell counts, in the simulator's
+    // tile order.
     let mut pe_tiles: Vec<Vec<usize>> = vec![Vec::new(); scnn.num_pes];
-    for (pi, (_, rl)) in segments(shape.in_height, grid).into_iter().enumerate() {
-        for (pj, (_, cl)) in segments(shape.in_width, grid).into_iter().enumerate() {
-            let owner = pi * grid + pj;
-            for sl in piece_lengths(rl, scnn.tile) {
-                for sw in piece_lengths(cl, scnn.tile) {
-                    pe_tiles[owner].push(sl * sw);
-                }
-            }
-        }
+    for (pe, (_, rows), (_, cols)) in tiles(shape, scnn) {
+        pe_tiles[pe].push(rows * cols);
     }
 
     // Exact per-PE distribution of the per-channel input batch count
@@ -215,29 +207,6 @@ fn expected_max_pmf(dists: &[Vec<f64>]) -> f64 {
         }
     }
     (1..support).map(|t| 1.0 - prod_le[t - 1]).sum()
-}
-
-/// `segments(n, parts)` from the simulator: contiguous near-equal splits.
-fn segments(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    (0..parts)
-        .map(|i| {
-            let lo = n * i / parts;
-            let hi = n * (i + 1) / parts;
-            (lo, hi - lo)
-        })
-        .collect()
-}
-
-/// Lengths of the ≤cap pieces a segment of `len` splits into.
-fn piece_lengths(len: usize, cap: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut off = 0;
-    while off < len {
-        let piece = cap.min(len - off);
-        out.push(piece);
-        off += piece;
-    }
-    out
 }
 
 #[cfg(test)]

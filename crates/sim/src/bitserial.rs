@@ -19,6 +19,7 @@ use sparten_nn::quant::QuantTensor;
 
 use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
 use crate::config::SimConfig;
+use crate::sparten::CHUNK_OVERHEAD;
 
 /// Number of essential (non-zero) digits in the radix-4 Booth recoding of
 /// an 8-bit value — the bit-serial work unit.
@@ -51,9 +52,6 @@ pub fn booth_digits(v: i8) -> u32 {
     }
     count
 }
-
-/// Per-chunk setup overhead, matching the SparTen-family model.
-const CHUNK_OVERHEAD: u64 = 1;
 
 /// Simulates the bit-serial baseline on `workload`.
 ///

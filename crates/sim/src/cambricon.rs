@@ -8,21 +8,20 @@
 //! individually zero ("No" on avoiding zero compute), and (c) costs
 //! accuracy because clamping is group-wide ("No" on maintaining accuracy,
 //! quantified here by the collateral report from
-//! [`sparten_nn::structured::prune_coarse`]). Chunk work for both the
-//! saturated and useful models comes from [`MaskModel`], whose inner loops
-//! run on the word-parallel `sparten_arch::fast` kernels.
+//! [`sparten_nn::structured::prune_coarse`]). The shared mask is a
+//! sparse-acceleration feature on SparTen's dataflow, not a second
+//! dataflow: the timing is one no-GB run of the SparTen pass over the
+//! shared-mask filters; only the useful-work split, the traffic and the
+//! op counts are this design's own.
 
+use sparten_core::balance::BalanceMode;
 use sparten_nn::generate::Workload;
 use sparten_nn::structured::{prune_coarse, CoarsePruneReport};
-use sparten_telemetry::{ReconcileError, StallCause, Telemetry};
 
-use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
+use crate::breakdown::{OpCounts, SimResult, Traffic};
 use crate::config::SimConfig;
-use crate::probe::{Probe, StallTally};
+use crate::sparten::{simulate_sparten, Sparsity};
 use crate::workmodel::MaskModel;
-
-/// Per-chunk setup overhead, matching the SparTen-family model.
-const CHUNK_OVERHEAD: u64 = 1;
 
 /// Result of a Cambricon-S-like run: the timing plus the accuracy-relevant
 /// pruning collateral.
@@ -38,19 +37,8 @@ pub struct CambriconResult {
 /// filters coarsely (shared mask per group of `units` filters) to the
 /// layer's own density so the comparison is density-matched.
 pub fn simulate_cambricon(workload: &Workload, config: &SimConfig) -> CambriconResult {
-    simulate_cambricon_telemetry(workload, config, None)
-}
-
-/// [`simulate_cambricon`] with an optional telemetry session.
-pub fn simulate_cambricon_telemetry(
-    workload: &Workload,
-    config: &SimConfig,
-    tel: Option<&Telemetry>,
-) -> CambriconResult {
-    let shape = &workload.shape;
     let units = config.accel.cluster.compute_units;
     let chunk_size = config.accel.cluster.chunk_size;
-    let num_clusters = config.accel.num_clusters;
 
     // Structure the filters: one shared mask per hardware group.
     let density = {
@@ -79,119 +67,43 @@ pub fn simulate_cambricon_telemetry(
     let executed_model = MaskModel::new(&saturated, chunk_size);
     let useful_model = MaskModel::new(&pruned, chunk_size);
 
-    let (oh, ow) = (shape.out_height(), shape.out_width());
-    let positions = oh * ow;
-    let chunks = executed_model.chunks_per_window();
-    let num_groups = shape.num_filters.div_ceil(units);
-
-    let probe = tel.map(|t| Probe::new(t, "Cambricon-S-like"));
-    let hist_chunk = probe.as_ref().map(|p| p.histogram("hist.chunk_work"));
-
-    let mut table = executed_model.work_table();
-    let mut cluster_cycles = vec![0u64; num_clusters];
-    let mut cluster_busy = vec![0u64; num_clusters];
-    for cluster in 0..num_clusters {
-        let lo = positions * cluster / num_clusters;
-        let hi = positions * (cluster + 1) / num_clusters;
-        let mut cycles = 0u64;
-        let mut busy = 0u64;
-        let mut tally = StallTally::default();
-        for p in lo..hi {
-            executed_model.load_window(p % oh, p / oh, &mut table);
-            executed_model.fill_joins(&mut table);
-            for g in 0..num_groups {
-                let group_filters = units.min(shape.num_filters - g * units) as u64;
-                // Every unit in the group shares the mask, so the group's
-                // chunk work is identical across units: use the first
-                // filter's executed work.
-                let lead = g * units;
-                for c in 0..chunks {
-                    let w = table.join(lead, c) as u64;
-                    cycles += w + CHUNK_OVERHEAD;
-                    busy += w * group_filters;
-                    if let Some(h) = &hist_chunk {
-                        // Shared masks make every occupied unit identical:
-                        // the only intra losses are the broadcast overhead
-                        // and the partially filled last group.
-                        tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
-                        tally.unit_underfill += w * (units as u64 - group_filters);
-                        h.record(w);
-                    }
-                }
-            }
-        }
-        cluster_cycles[cluster] = cycles;
-        cluster_busy[cluster] = busy;
-        if let Some(pr) = &probe {
-            pr.thread(cluster as u32, &format!("cluster{cluster}"));
-            pr.span(cluster as u32, "cluster", 0, cycles, &[("busy", busy)]);
-            if cycles > 0 {
-                pr.gauge(
-                    "occupancy.cluster_util",
-                    busy as f64 / (cycles * units as u64) as f64,
-                );
-            }
-            tally.emit(pr);
-            debug_assert_eq!(tally.intra(), cycles * units as u64 - busy);
-        }
-    }
-
-    let total_units = (units * num_clusters) as u64;
-    let total_macs: u64 = cluster_busy.iter().sum();
-    let (makespan, breakdown) = Breakdown::from_clusters(
-        &cluster_cycles,
-        &cluster_busy,
-        units as u64,
-        useful_model.total_sparse_macs().min(total_macs),
+    // A shared mask gives every unit of a group the same join, so SparTen
+    // without GB on the saturated filters times exactly this design: each
+    // chunk barrier costs the group's one join plus the chunk overhead, and
+    // only the partially filled last group and the overhead idle units.
+    let timed = simulate_sparten(
+        &saturated,
+        &executed_model,
+        config,
+        Sparsity::TwoSided,
+        BalanceMode::None,
     );
+    let executed = timed.breakdown.nonzero + timed.breakdown.zero;
+    let mut breakdown = timed.breakdown;
+    breakdown.nonzero = useful_model.total_sparse_macs().min(executed);
+    breakdown.zero = executed - breakdown.nonzero;
 
     let traffic = cambricon_traffic(&pruned, &executed_model, config);
-    let memory_cycles = config.memory.cycles(&traffic);
-
-    if let Some(pr) = &probe {
-        pr.work(breakdown.nonzero, breakdown.zero);
-        pr.stall(StallCause::ClusterIdle, breakdown.inter);
-        pr.traffic(&traffic);
-        pr.gauge("occupancy.makespan_cycles", makespan as f64);
-        pr.count("prune.clamped_keepers", prune_report.clamped_keepers as u64);
-    }
-
     CambriconResult {
         sim: SimResult {
             scheme: "Cambricon-S-like",
-            compute_cycles: makespan,
-            memory_cycles,
-            total_units,
+            memory_cycles: config.memory.cycles(&traffic),
             breakdown,
             traffic,
             ops: OpCounts {
                 macs_nonzero: breakdown.nonzero,
                 macs_zero: breakdown.zero,
-                buffer_accesses: 3 * total_macs,
+                buffer_accesses: 3 * executed,
                 prefix_ops: 0,
-                encoder_ops: total_macs,
+                encoder_ops: executed,
                 permute_values: 0,
                 compact_ops: 0,
                 crossbar_ops: 0,
             },
+            ..timed
         },
         prune_report,
     }
-}
-
-/// Runs the Cambricon-S-like simulator into a fresh telemetry session,
-/// checks that the recorded counters reconcile exactly with the breakdown,
-/// then folds the session into `session` under `track_prefix`.
-pub fn simulate_cambricon_checked(
-    workload: &Workload,
-    config: &SimConfig,
-    session: &Telemetry,
-    track_prefix: &str,
-) -> Result<CambriconResult, ReconcileError> {
-    let local = Telemetry::new();
-    let result = simulate_cambricon_telemetry(workload, config, Some(&local));
-    crate::probe::reconcile_and_merge(local, &result.sim, session, track_prefix)?;
-    Ok(result)
 }
 
 /// Cambricon-S traffic: feature maps travel *dense* (zeros included, no

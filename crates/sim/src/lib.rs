@@ -8,10 +8,17 @@
 //!   zeros included, with no sparse-computation overheads ([`dense`]);
 //! * **One-sided** — the SparTen datapath restricted to feature-map
 //!   sparsity (a proxy for Cnvlutin/Cambricon-X/EIE idling) ([`sparten`]);
-//! * **SparTen** — two-sided sparsity with no GB, GB-S, or GB-H ([`sparten`]);
+//! * **SparTen** — two-sided sparsity with no GB, GB-S, or GB-H, at the
+//!   strict chunk barrier or through a deeper broadcast buffer
+//!   ([`sparten`]);
 //! * **SCNN** — the Cartesian-product dataflow with its intra-PE
 //!   underutilization, inter-PE barriers, tile-edge truncation, and
 //!   compute-and-discard behaviour on non-unit strides ([`scnn`]).
+//!
+//! Two §6 related-work baselines run on the same resources: a
+//! **Cambricon-S-like** design whose group-shared masks run on the SparTen
+//! pass ([`cambricon`]), and a Booth-encoded **bit-serial** design
+//! ([`bitserial`]).
 //!
 //! Each simulator returns a [`SimResult`]: cycles, the Figure 10–12
 //! execution-time breakdown (non-zero compute, zero compute, intra-cluster
@@ -22,7 +29,6 @@
 
 pub mod bitserial;
 pub mod breakdown;
-pub mod buffered;
 pub mod cambricon;
 pub mod config;
 pub mod dense;
@@ -39,8 +45,7 @@ pub mod workmodel;
 
 pub use bitserial::{booth_digits, simulate_bitserial};
 pub use breakdown::{intern_scheme_label, Breakdown, OpCounts, SimResult, Traffic};
-pub use buffered::{simulate_buffered, BufferDepth, BufferedResult};
-pub use cambricon::{simulate_cambricon, simulate_cambricon_checked, CambriconResult};
+pub use cambricon::{simulate_cambricon, CambriconResult};
 pub use config::{MemoryConfig, ScnnConfig, SimConfig};
 pub use goals::{design_goal_table, DesignGoals};
 pub use probe::{reconcile_and_merge, Probe, StallTally};
@@ -48,8 +53,9 @@ pub use runner::{
     simulate_layer, simulate_layer_telemetry, simulate_schemes, simulate_spec,
     simulate_spec_batch, try_simulate_layer, BatchResult, Scheme,
 };
-pub use scnn_engine::{scnn_cartesian_conv, scnn_cartesian_conv_telemetry, CartesianStats};
+pub use scnn_engine::{scnn_cartesian_conv, CartesianStats};
+pub use sparten::{simulate_buffered, BufferDepth};
 pub use sweeps::{density_sweep, scaling_sweep, DensityPoint, ScalingPoint};
-pub use trace::{trace_cluster, trace_cluster_telemetry, ChunkEvent, ClusterTraceLog};
+pub use trace::{trace_cluster, ChunkEvent, ClusterTraceLog};
 pub use validate::{standard_battery, validate_layer, ValidationReport};
 pub use workmodel::{LayerMeasurement, MaskModel, WorkTable};

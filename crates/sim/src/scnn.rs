@@ -27,10 +27,11 @@
 use sparten_core::SimError;
 use sparten_faults::{UnitFault, UnitFaultSpec};
 use sparten_nn::generate::Workload;
+use sparten_nn::ConvShape;
 use sparten_telemetry::{StallCause, Telemetry};
 
 use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
-use crate::config::SimConfig;
+use crate::config::{ScnnConfig, SimConfig};
 use crate::probe::{Probe, StallTally};
 use crate::workmodel::MaskModel;
 
@@ -67,14 +68,31 @@ fn segments(n: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Splits a segment of length `len` into sub-tiles of at most `cap`.
-fn subtiles(start: usize, len: usize, cap: usize) -> Vec<(usize, usize)> {
+/// One sub-tile of the input plane, `(pe, (x, rows), (y, cols))`: the owning
+/// PE of the `√PEs × √PEs` grid, then the tile's first cell and extent
+/// (≤ `tile`) on each axis.
+pub type Tile = (usize, (usize, usize), (usize, usize));
+
+/// The input plane's sub-tiles in the order [`simulate_scnn`] walks them.
+///
+/// # Panics
+///
+/// Panics if the PE count is not a square.
+pub fn tiles(shape: &ConvShape, scnn: &ScnnConfig) -> Vec<Tile> {
+    let grid = (scnn.num_pes as f64).sqrt() as usize;
+    assert_eq!(grid * grid, scnn.num_pes, "PE count must be a square");
+    let regions = segments(shape.in_width, grid);
     let mut out = Vec::new();
-    let mut off = 0;
-    while off < len {
-        let piece = cap.min(len - off);
-        out.push((start + off, piece));
-        off += piece;
+    for (pi, &(rx, rl)) in segments(shape.in_height, grid).iter().enumerate() {
+        for (pj, &(cy, cl)) in regions.iter().enumerate() {
+            // Each region splits into ≤ tile × tile pieces.
+            for x in (rx..rx + rl).step_by(scnn.tile) {
+                for y in (cy..cy + cl).step_by(scnn.tile) {
+                    let (rows, cols) = (scnn.tile.min(rx + rl - x), scnn.tile.min(cy + cl - y));
+                    out.push((pi * grid + pj, (x, rows), (y, cols)));
+                }
+            }
+        }
     }
     out
 }
@@ -96,33 +114,16 @@ pub fn simulate_scnn(
 ) -> Result<SimResult, SimError> {
     let shape = &workload.shape;
     let scnn = &config.scnn;
-    let grid = (scnn.num_pes as f64).sqrt() as usize;
-    assert_eq!(grid * grid, scnn.num_pes, "PE count must be a square");
     let f_edge = scnn.mult_edge as u64;
     let i_edge = scnn.mult_edge as u64;
     let d = shape.in_channels;
     let k = shape.kernel;
     let groups = shape.num_filters.div_ceil(scnn.output_group);
 
-    // Per-(sub-tile, channel) input non-zero counts. Sub-tiles are the
-    // ≤tile×tile pieces of each PE's region; `tile_owner[t]` is the PE.
-    let rows = segments(shape.in_height, grid);
-    let cols = segments(shape.in_width, grid);
-    let mut tile_bounds: Vec<(usize, usize, usize, usize)> = Vec::new();
-    let mut tile_owner: Vec<usize> = Vec::new();
-    for (pi, &(rx, rl)) in rows.iter().enumerate() {
-        for (pj, &(cy, cl)) in cols.iter().enumerate() {
-            for (sx, sl) in subtiles(rx, rl, scnn.tile) {
-                for (sy, swl) in subtiles(cy, cl, scnn.tile) {
-                    tile_bounds.push((sx, sl, sy, swl));
-                    tile_owner.push(pi * grid + pj);
-                }
-            }
-        }
-    }
-    let num_tiles = tile_bounds.len();
-    let mut tile_channel_nnz = vec![0u32; num_tiles * d];
-    for (t, &(sx, sl, sy, swl)) in tile_bounds.iter().enumerate() {
+    // Per-(sub-tile, channel) input non-zero counts.
+    let tiles = tiles(shape, scnn);
+    let mut tile_channel_nnz = vec![0u32; tiles.len() * d];
+    for (t, &(_, (sx, sl), (sy, swl))) in tiles.iter().enumerate() {
         for y in sy..sy + swl {
             for x in sx..sx + sl {
                 for (z, &v) in workload.input.fiber(x, y).iter().enumerate() {
@@ -172,7 +173,7 @@ pub fn simulate_scnn(
             pe_cycles.iter_mut().for_each(|v| *v = 0);
             if f_nnz > 0 {
                 let f_batches = f_nnz.div_ceil(f_edge);
-                for (t, &owner) in tile_owner.iter().enumerate() {
+                for (t, &(owner, _, _)) in tiles.iter().enumerate() {
                     let i_nnz = tile_channel_nnz[t * d + c] as u64;
                     if i_nnz == 0 {
                         continue;

@@ -10,7 +10,6 @@
 //! where products falling between outputs are computed and discarded.
 
 use sparten_nn::generate::Workload;
-use sparten_telemetry::Telemetry;
 use sparten_tensor::Tensor3;
 
 /// Product accounting of one Cartesian-product run.
@@ -42,29 +41,6 @@ impl CartesianStats {
 /// pairs) but only products whose coordinates land on the stride grid are
 /// accumulated — the §2.1.1 inapplicability made executable.
 pub fn scnn_cartesian_conv(workload: &Workload) -> (Tensor3, CartesianStats) {
-    scnn_cartesian_conv_telemetry(workload, None)
-}
-
-/// [`scnn_cartesian_conv`] with an optional telemetry session: records the
-/// product accounting as `SCNN-engine/work.*` counters.
-pub fn scnn_cartesian_conv_telemetry(
-    workload: &Workload,
-    tel: Option<&Telemetry>,
-) -> (Tensor3, CartesianStats) {
-    let (out, stats) = cartesian_conv_impl(workload);
-    if let Some(t) = tel {
-        t.metrics.counter("SCNN-engine/work.products").add(stats.products);
-        t.metrics
-            .counter("SCNN-engine/work.accumulated")
-            .add(stats.accumulated);
-        t.metrics
-            .counter("SCNN-engine/work.discarded")
-            .add(stats.discarded);
-    }
-    (out, stats)
-}
-
-fn cartesian_conv_impl(workload: &Workload) -> (Tensor3, CartesianStats) {
     let shape = &workload.shape;
     let (oh, ow) = (shape.out_height(), shape.out_width());
     let k = shape.kernel;

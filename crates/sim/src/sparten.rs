@@ -22,9 +22,13 @@
 //! [`MaskModel`] window and fills its join table once, and every run reads
 //! its chunk work from that table, so a layer's schemes share every
 //! (position, filter, chunk) join instead of recomputing it per scheme.
-//! The joins run on the word-parallel kernels in `sparten_arch::fast` (an
-//! AND and a popcount per `u64` word); the structural circuit models remain
-//! the oracle those kernels are differentially tested against.
+//! A run may also time its barriers through a deeper broadcast buffer
+//! ([`BufferDepth`], §3.3's "no amount of buffering" tested mechanically),
+//! and the Cambricon-S-like baseline is a no-GB run over its shared-mask
+//! filters. The joins run on the word-parallel kernels in
+//! `sparten_arch::fast` (an AND and a popcount per `u64` word); the
+//! structural circuit models remain the oracle those kernels are
+//! differentially tested against.
 
 use std::sync::Arc;
 
@@ -48,8 +52,26 @@ pub enum Sparsity {
     TwoSided,
 }
 
-/// Per-chunk broadcast/setup overhead in cycles.
-const CHUNK_OVERHEAD: u64 = 1;
+/// Per-chunk broadcast/setup overhead in cycles, charged by every
+/// chunk-barrier simulator and by the analytical model.
+pub const CHUNK_OVERHEAD: u64 = 1;
+
+/// Broadcast-buffer depth: how many chunks a unit may run ahead of the
+/// slowest unit of its group. `Bounded(1)` is the strict per-chunk barrier;
+/// `Unbounded` removes the coupling within a group entirely.
+///
+/// Within one filter group the same unit holds the same (denser or
+/// sparser) filter for *every* input chunk, so its deficit is systematic:
+/// deeper buffers smooth chunk-level noise but converge to the densest
+/// unit's total work, which only greedy balancing reduces. Group
+/// boundaries drain the pipeline (filters swap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BufferDepth {
+    /// The broadcast may run at most this many chunks ahead.
+    Bounded(usize),
+    /// Unlimited run-ahead within a group.
+    Unbounded,
+}
 
 /// Simulates one layer on the SparTen microarchitecture.
 ///
@@ -76,6 +98,29 @@ pub fn simulate_sparten_with_balance(
     balance: LayerBalance,
 ) -> SimResult {
     let run = Run::new(model, config, sparsity, balance, None, None);
+    simulate_sparten_pass(workload, model, config, vec![run])
+        .pop()
+        .expect("one run, one result")
+        .expect("fault-free simulation cannot fail")
+}
+
+/// Simulates one layer two-sided under `mode` with broadcast-buffer depth
+/// `depth`; `Bounded(1)` is exactly [`simulate_sparten`].
+///
+/// # Panics
+///
+/// Panics if `depth` is `Bounded(0)`.
+pub fn simulate_buffered(
+    workload: &Workload,
+    model: &MaskModel,
+    config: &SimConfig,
+    mode: BalanceMode,
+    depth: BufferDepth,
+) -> SimResult {
+    let balance = layer_balance(workload, config, Sparsity::TwoSided, mode);
+    let positions = workload.shape.out_height() * workload.shape.out_width();
+    let run = Run::new(model, config, Sparsity::TwoSided, balance, None, None)
+        .with_buffer(depth, positions);
     simulate_sparten_pass(workload, model, config, vec![run])
         .pop()
         .expect("one run, one result")
@@ -168,13 +213,13 @@ pub(crate) fn simulate_sparten_pass(
 /// (group-major, chunk-minor), as `units × depth` join-table indices — each
 /// unit's filters padded to the collocation depth with the table's
 /// always-zero entry, so an idle unit or slot reads zero work.
-struct Schedule {
+pub(crate) struct Schedule {
     /// Busy units of each scheduled group (the one-sided barrier width).
     busy_units: Vec<u64>,
     /// Filters a unit holds at most (1, or the collocation depth).
-    depth: usize,
+    pub(crate) depth: usize,
     /// The join-table index `f · chunks + c` of each slot.
-    slots: Vec<u32>,
+    pub(crate) slots: Vec<u32>,
     /// The index of the join table's always-zero entry.
     empty: u32,
     /// Filter slots joined per position (padding excluded).
@@ -184,7 +229,7 @@ struct Schedule {
 }
 
 impl Schedule {
-    fn new(balance: &LayerBalance, units: usize, filters: usize, chunks: usize) -> Self {
+    pub(crate) fn new(balance: &LayerBalance, units: usize, filters: usize, chunks: usize) -> Self {
         let index = |i: usize| u32::try_from(i).expect("join table fits u32 indices");
         // Each chunk's per-unit filter lists.
         fn layouts(g: &GroupAssignment, chunks: usize) -> Vec<&[Vec<usize>]> {
@@ -232,6 +277,22 @@ impl Schedule {
     }
 }
 
+/// A broadcast buffer deeper than one chunk. Each scheduled group runs its
+/// own stream of (position, chunk) items: a unit starts item `k` once it
+/// has finished item `k − 1` and every unit of its group has finished item
+/// `k − B`.
+struct DeepBuffer {
+    /// `B`'s ring length (capped at the layer's items), or 0 if unbounded.
+    ring: usize,
+    /// Items each group has issued in the cluster being timed.
+    items: usize,
+    /// Each scheduled group's unit clocks, `groups × units`.
+    clocks: Vec<u64>,
+    /// Each group's all-units-done times of its last `ring` items,
+    /// `groups × ring`.
+    done: Vec<u64>,
+}
+
 /// One scheme timed by [`simulate_sparten_pass`]: a sparsity and a balance
 /// assignment, with its own cluster clocks, stall tallies, optional probe
 /// and optional fault.
@@ -239,6 +300,9 @@ pub(crate) struct Run<'a> {
     sparsity: Sparsity,
     mode: BalanceMode,
     schedule: Schedule,
+    /// Boxed, so a barrier run stays as small as it was: held inline, the
+    /// state slowed the `layer/SparTen` bench row by about 12%.
+    buffer: Option<Box<DeepBuffer>>,
     chunks: usize,
     units: u64,
     fault: Option<&'a UnitFaultSpec>,
@@ -277,6 +341,7 @@ impl<'a> Run<'a> {
             sparsity,
             mode,
             schedule: Schedule::new(&balance, units, model.shape().num_filters, chunks),
+            buffer: None,
             chunks,
             units: units as u64,
             fault,
@@ -296,6 +361,27 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Times this run's barriers through a broadcast buffer `depth` chunks
+    /// deep on a layer of `positions` outputs. `Bounded(1)` is the strict
+    /// barrier [`Run::time_barriers`] times, so only deeper buffers get
+    /// unit clocks.
+    fn with_buffer(mut self, depth: BufferDepth, positions: usize) -> Self {
+        let ring = match depth {
+            BufferDepth::Bounded(0) => panic!("buffer depth must be positive"),
+            BufferDepth::Bounded(1) => return self,
+            BufferDepth::Bounded(b) => b.min(positions * self.chunks),
+            BufferDepth::Unbounded => 0,
+        };
+        let groups = self.schedule.busy_units.len();
+        self.buffer = Some(Box::new(DeepBuffer {
+            ring,
+            items: 0,
+            clocks: vec![0; groups * self.units as usize],
+            done: vec![0; groups * ring],
+        }));
+        self
+    }
+
     fn begin_cluster(&mut self, cluster: usize) {
         self.cluster = cluster;
         self.unit_fault = self.fault.filter(|f| f.cluster == cluster);
@@ -303,6 +389,11 @@ impl<'a> Run<'a> {
         self.busy = 0;
         self.tally = StallTally::default();
         self.sampled_spans = 0;
+        if let Some(buf) = &mut self.buffer {
+            buf.items = 0;
+            buf.clocks.fill(0);
+            buf.done.fill(0);
+        }
     }
 
     /// Times output position `p` from its work table.
@@ -310,6 +401,10 @@ impl<'a> Run<'a> {
         let pos_start = self.cycles;
         let timed = match self.sparsity {
             Sparsity::OneSided => self.one_sided(table),
+            Sparsity::TwoSided if self.buffer.is_some() => {
+                self.time_buffered(table.joins());
+                Ok(())
+            }
             Sparsity::TwoSided => self.two_sided(table),
         };
         if let Err(e) = timed {
@@ -431,7 +526,44 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
+    /// Times the schedule's chunk barriers as items of a [`DeepBuffer`]:
+    /// each unit advances its own clock by its work plus the chunk
+    /// overhead, waiting only for its group's item `B` back.
+    fn time_buffered(&mut self, joins: &[u16]) {
+        let buf = self.buffer.as_mut().expect("a deep-buffer run");
+        let (units, depth, ring) = (self.units as usize, self.schedule.depth, buf.ring);
+        for (i, barrier) in self.schedule.slots.chunks_exact(units * depth).enumerate() {
+            let (g, item) = (i / self.chunks, buf.items + i % self.chunks);
+            // The ring slot of item `k − B`, which item `k` then takes.
+            let slot = (ring > 0).then(|| g * ring + item % ring);
+            let issue = match slot {
+                Some(s) if item >= ring => buf.done[s],
+                _ => 0,
+            };
+            let mut item_done = 0u64;
+            let clocks = &mut buf.clocks[g * units..(g + 1) * units];
+            for (t, held) in clocks.iter_mut().zip(barrier.chunks_exact(depth)) {
+                let w: u64 = held.iter().map(|&s| joins[s as usize] as u64).sum();
+                self.busy += w;
+                *t = (*t).max(issue) + w + CHUNK_OVERHEAD;
+                item_done = item_done.max(*t);
+            }
+            if let Some(s) = slot {
+                buf.done[s] = item_done;
+            }
+        }
+        buf.items += self.chunks;
+        self.chunk_joins += self.schedule.chunk_joins;
+        self.permute_values += self.schedule.permutes;
+    }
+
     fn end_cluster(&mut self) {
+        if let Some(buf) = &self.buffer {
+            // Group boundaries drain the buffer: the cluster runs each
+            // group until its slowest unit is done.
+            let groups = buf.clocks.chunks_exact(self.units as usize);
+            self.cycles = groups.map(|t| t.iter().max().copied().unwrap_or(0)).sum();
+        }
         let (cluster, cycles, busy) = (self.cluster, self.cycles, self.busy);
         self.cluster_cycles[cluster] = cycles;
         self.cluster_busy[cluster] = busy;
@@ -693,5 +825,63 @@ mod tests {
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
         let r = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert!(r.is_memory_bound());
+    }
+
+    fn buffer_setup() -> (Workload, SimConfig, MaskModel) {
+        let shape = ConvShape::new(96, 8, 8, 3, 16, 1, 1);
+        let w = workload(&shape, 0.35, 0.35, 29);
+        let mut cfg = SimConfig::small();
+        cfg.accel.num_clusters = 2;
+        cfg.accel.cluster.compute_units = 8;
+        let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
+        (w, cfg, m)
+    }
+
+    #[test]
+    fn depth_one_matches_the_barrier_simulator() {
+        let (w, cfg, m) = buffer_setup();
+        let buffered = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Bounded(1));
+        let barrier = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
+        // Same semantics: issue gated on everyone finishing the previous
+        // chunk, with the same overhead per chunk.
+        assert_eq!(buffered, barrier);
+    }
+
+    #[test]
+    fn deeper_buffers_never_hurt() {
+        let (w, cfg, m) = buffer_setup();
+        let mut last = u64::MAX;
+        for depth in [1usize, 2, 4, 8, 32] {
+            let r = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Bounded(depth));
+            assert!(r.compute_cycles <= last && r.accounting_holds(), "depth {depth}");
+            last = r.compute_cycles;
+        }
+        let unbounded = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Unbounded);
+        assert!(unbounded.compute_cycles <= last);
+    }
+
+    #[test]
+    fn unbounded_buffering_cannot_beat_greedy_balancing() {
+        // The paper's claim: the imbalance is systematic — even infinite
+        // input buffering leaves no-GB behind GB-H at the per-chunk barrier.
+        let (w, cfg, m) = buffer_setup();
+        let no_gb_infinite =
+            simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Unbounded);
+        let gbh_strict = simulate_buffered(&w, &m, &cfg, BalanceMode::GbH, BufferDepth::Bounded(1));
+        assert!(
+            gbh_strict.compute_cycles < no_gb_infinite.compute_cycles,
+            "GB-H@B=1 {} !< no-GB@B=inf {}",
+            gbh_strict.compute_cycles,
+            no_gb_infinite.compute_cycles
+        );
+    }
+
+    #[test]
+    fn useful_work_is_depth_invariant() {
+        let (w, cfg, m) = buffer_setup();
+        let a = simulate_buffered(&w, &m, &cfg, BalanceMode::GbS, BufferDepth::Bounded(1));
+        let b = simulate_buffered(&w, &m, &cfg, BalanceMode::GbS, BufferDepth::Unbounded);
+        assert_eq!(a.breakdown.nonzero, b.breakdown.nonzero);
+        assert!(b.breakdown_fractions()[0] >= a.breakdown_fractions()[0]);
     }
 }

@@ -13,6 +13,7 @@ use sparten_telemetry::Telemetry;
 
 use crate::config::SimConfig;
 use crate::probe::Probe;
+use crate::sparten::Schedule;
 use crate::workmodel::MaskModel;
 
 /// One chunk barrier's record.
@@ -40,7 +41,7 @@ impl ChunkEvent {
     }
 }
 
-/// A recorded trace of one cluster's first `positions` output cells.
+/// A recorded trace of a layer's first output positions on one cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterTraceLog {
     /// The chunk events in execution order.
@@ -100,17 +101,6 @@ impl ClusterTraceLog {
     }
 }
 
-/// Traces the first cluster's first `max_positions` output cells under the
-/// given balance mode.
-pub fn trace_cluster(
-    workload: &Workload,
-    config: &SimConfig,
-    mode: BalanceMode,
-    max_positions: usize,
-) -> ClusterTraceLog {
-    trace_cluster_telemetry(workload, config, mode, max_positions, None)
-}
-
 /// The telemetry scope a balance mode's trace records under.
 fn trace_scope(mode: BalanceMode) -> &'static str {
     match mode {
@@ -121,12 +111,16 @@ fn trace_scope(mode: BalanceMode) -> &'static str {
     }
 }
 
-/// [`trace_cluster`] with an optional telemetry session: every chunk
-/// barrier is additionally emitted through the recorder — one thread track
-/// per compute unit, one span per unit per barrier (Figure 6's strips as a
-/// Perfetto timeline) — plus `trace.useful_slots` / `trace.barrier_slots`
-/// counters whose ratio is exactly [`ClusterTraceLog::utilization`].
-pub fn trace_cluster_telemetry(
+/// Traces the layer's first `max_positions` output positions under the
+/// given balance mode, back to back on one cluster's units (the positions
+/// are not sliced across clusters).
+///
+/// With a telemetry session, every chunk barrier is also emitted through
+/// the recorder — one thread track per compute unit, one span per unit per
+/// barrier (Figure 6's strips as a Perfetto timeline) — plus
+/// `trace.useful_slots` / `trace.barrier_slots` counters whose ratio is
+/// exactly [`ClusterTraceLog::utilization`].
+pub fn trace_cluster(
     workload: &Workload,
     config: &SimConfig,
     mode: BalanceMode,
@@ -139,6 +133,10 @@ pub fn trace_cluster_telemetry(
     let model = MaskModel::new(workload, chunk_size);
     let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
     let chunks = model.chunks_per_window();
+    // The pass's own unit layout: one barrier per (group, chunk), `depth`
+    // join-table slots per unit.
+    let schedule = Schedule::new(&balance, units, shape.num_filters, chunks);
+    let depth = schedule.depth;
     let (oh, ow) = (shape.out_height(), shape.out_width());
     let positions = (oh * ow).min(max_positions);
 
@@ -154,50 +152,44 @@ pub fn trace_cluster_telemetry(
     let mut barrier_slots = 0u64;
 
     let mut table = model.work_table();
-    let mut unit_work = vec![0u32; units];
     let mut events = Vec::new();
     for p in 0..positions {
         model.load_window(p % oh, p / oh, &mut table);
         model.fill_joins(&mut table);
-        for (g, group) in balance.groups.iter().enumerate() {
-            for c in 0..chunks {
-                let per_unit: &[Vec<usize>] = if group.per_chunk_cu.is_empty() {
-                    &group.per_cu
-                } else {
-                    &group.per_chunk_cu[c]
-                };
-                unit_work.fill(0);
-                for (u, slots) in per_unit.iter().enumerate() {
-                    unit_work[u] = slots.iter().map(|&f| table.join(f, c)).sum();
-                }
-                let barrier = unit_work.iter().copied().max().unwrap_or(0);
-                if let Some(pr) = &probe {
-                    for (u, &w) in unit_work.iter().enumerate() {
-                        useful_slots += w as u64;
-                        if w > 0 {
-                            pr.span(
-                                u as u32,
-                                "chunk",
-                                now,
-                                w as u64,
-                                &[("pos", p as u64), ("group", g as u64), ("chunk", c as u64)],
-                            );
-                        }
+        let joins = table.joins();
+        for (i, slots) in schedule.slots.chunks_exact(units * depth).enumerate() {
+            let (g, c) = (i / chunks, i % chunks);
+            let unit_work: Vec<u32> = slots
+                .chunks_exact(depth)
+                .map(|held| held.iter().map(|&s| joins[s as usize] as u32).sum())
+                .collect();
+            let barrier = unit_work.iter().copied().max().unwrap_or(0);
+            if let Some(pr) = &probe {
+                for (u, &w) in unit_work.iter().enumerate() {
+                    useful_slots += w as u64;
+                    if w > 0 {
+                        pr.span(
+                            u as u32,
+                            "chunk",
+                            now,
+                            w as u64,
+                            &[("pos", p as u64), ("group", g as u64), ("chunk", c as u64)],
+                        );
                     }
-                    if barrier > 0 {
-                        pr.instant(0, "barrier", now + barrier as u64, &[]);
-                    }
-                    now += barrier as u64;
-                    barrier_slots += barrier as u64 * units as u64;
                 }
-                events.push(ChunkEvent {
-                    position: p,
-                    group: g,
-                    chunk: c,
-                    unit_work: unit_work.clone(),
-                    barrier,
-                });
+                if barrier > 0 {
+                    pr.instant(0, "barrier", now + barrier as u64, &[]);
+                }
+                now += barrier as u64;
+                barrier_slots += barrier as u64 * units as u64;
             }
+            events.push(ChunkEvent {
+                position: p,
+                group: g,
+                chunk: c,
+                unit_work,
+                barrier,
+            });
         }
     }
     if let Some(pr) = &probe {
@@ -224,7 +216,7 @@ mod tests {
     #[test]
     fn trace_covers_positions_groups_chunks() {
         let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::None, 3);
+        let log = trace_cluster(&w, &cfg, BalanceMode::None, 3, None);
         // 3 positions × 4 groups (16 filters / 4 units) × 9 chunks.
         assert_eq!(log.events.len(), 3 * 4 * 9);
         assert!(log.events.iter().all(|e| e.unit_work.len() == 4));
@@ -233,7 +225,7 @@ mod tests {
     #[test]
     fn barrier_is_the_unit_maximum() {
         let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 2);
+        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 2, None);
         for e in &log.events {
             assert_eq!(e.barrier, *e.unit_work.iter().max().expect("units"));
             assert_eq!(
@@ -249,15 +241,15 @@ mod tests {
     #[test]
     fn gb_raises_traced_utilization() {
         let (w, cfg) = setup();
-        let plain = trace_cluster(&w, &cfg, BalanceMode::None, 6).utilization();
-        let gbh = trace_cluster(&w, &cfg, BalanceMode::GbH, 6).utilization();
+        let plain = trace_cluster(&w, &cfg, BalanceMode::None, 6, None).utilization();
+        let gbh = trace_cluster(&w, &cfg, BalanceMode::GbH, 6, None).utilization();
         assert!(gbh > plain, "GB-H {gbh} !> none {plain}");
     }
 
     #[test]
     fn render_produces_one_strip_per_unit() {
         let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 1);
+        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 1, None);
         let text = log.render(2, 20);
         // Two events × (1 header + 4 units) lines.
         assert_eq!(text.lines().count(), 2 * 5);

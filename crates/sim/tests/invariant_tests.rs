@@ -16,16 +16,21 @@
 //!    times every SparTen-family scheme from one shared pass, returns
 //!    exactly what `simulate_layer` returns per scheme, and traced, merges
 //!    exactly the session that tracing each scheme on its own builds.
+//! 4. **Buffer depth is a timing rule of the pass** — `simulate_buffered`
+//!    times every depth exactly as the stand-alone bounded-buffer loop it
+//!    replaced, kept below as the reference.
 //!
 //! The sweep is seeded and deterministic; `exhaustive-tests` widens it.
 
 use sparten_arch::fast::fast_join;
+use sparten_core::balance::{BalanceMode, LayerBalance};
 use sparten_core::chunking::{filter_to_chunks, linearize_window_padded};
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::ConvShape;
 use sparten_sim::cambricon::simulate_cambricon;
 use sparten_sim::{
-    simulate_layer, simulate_layer_telemetry, simulate_schemes, MaskModel, Scheme, SimConfig,
+    simulate_buffered, simulate_layer, simulate_layer_telemetry, simulate_schemes, BufferDepth,
+    MaskModel, Scheme, SimConfig,
 };
 use sparten_telemetry::{chrome_trace, Telemetry};
 use sparten_tensor::{Rng64, SparseVector};
@@ -221,6 +226,117 @@ fn one_pass_matches_per_scheme_simulation() {
                 chrome_trace(&b, &one_at_a_time.recorder),
                 "traced {list:?} on {shape:?}"
             );
+        }
+    }
+}
+
+/// The bounded-buffer simulator as a stand-alone loop, before buffer depth
+/// became a timing rule of the SparTen pass: per cluster and filter group,
+/// each unit's completion time and a ring of the last `B` items'
+/// all-units-done times — item `k` issues once every unit has finished
+/// item `k − B`. Returns the slowest cluster's cycles and the useful MACs.
+fn reference_buffered(
+    workload: &Workload,
+    model: &MaskModel,
+    config: &SimConfig,
+    mode: BalanceMode,
+    depth: BufferDepth,
+) -> (u64, u64) {
+    let shape = &workload.shape;
+    let units = config.accel.cluster.compute_units;
+    let chunk_size = config.accel.cluster.chunk_size;
+    let num_clusters = config.accel.num_clusters;
+    let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
+    let chunks = model.chunks_per_window();
+    let (oh, ow) = (shape.out_height(), shape.out_width());
+    let positions = oh * ow;
+
+    let mut table = model.work_table();
+    let mut makespan = 0u64;
+    let mut useful = 0u64;
+    for cluster in 0..num_clusters {
+        let lo = positions * cluster / num_clusters;
+        let hi = positions * (cluster + 1) / num_clusters;
+        let ring = match depth {
+            BufferDepth::Bounded(b) => b.min((hi - lo) * chunks),
+            BufferDepth::Unbounded => 0,
+        };
+        let mut unit_time = vec![vec![0u64; units]; balance.groups.len()];
+        let mut done_ring = vec![vec![0u64; ring]; balance.groups.len()];
+        for (n, p) in (lo..hi).enumerate() {
+            model.load_window(p % oh, p / oh, &mut table);
+            model.fill_joins(&mut table);
+            for (g, group) in balance.groups.iter().enumerate() {
+                for c in 0..chunks {
+                    let item = n * chunks + c;
+                    let issue = match depth {
+                        BufferDepth::Bounded(b) if item >= b => done_ring[g][item % ring],
+                        _ => 0,
+                    };
+                    let per_unit: &[Vec<usize>] = if group.per_chunk_cu.is_empty() {
+                        &group.per_cu
+                    } else {
+                        &group.per_chunk_cu[c]
+                    };
+                    let mut item_done = 0u64;
+                    for (u, slots) in per_unit.iter().enumerate().take(units) {
+                        let w: u64 = slots.iter().map(|&f| table.join(f, c) as u64).sum();
+                        useful += w;
+                        let t = &mut unit_time[g][u];
+                        *t = (*t).max(issue) + w + 1;
+                        item_done = item_done.max(*t);
+                    }
+                    if ring > 0 {
+                        done_ring[g][item % ring] = item_done;
+                    }
+                }
+            }
+        }
+        // Group boundary: drain (filters swap in).
+        let cluster_time: u64 = unit_time
+            .iter()
+            .map(|t| t.iter().copied().max().unwrap_or(0))
+            .sum();
+        makespan = makespan.max(cluster_time);
+    }
+    (makespan, useful)
+}
+
+#[test]
+fn buffered_pass_matches_reference_loop() {
+    let mut rng = Rng64::seed_from_u64(0xB0FF);
+    let depths = [
+        BufferDepth::Bounded(1),
+        BufferDepth::Bounded(2),
+        BufferDepth::Bounded(3),
+        BufferDepth::Bounded(8),
+        BufferDepth::Unbounded,
+    ];
+    let modes = [
+        BalanceMode::None,
+        BalanceMode::GbS,
+        BalanceMode::GbH,
+        BalanceMode::GbSNoColloc,
+    ];
+    for _ in 0..sweep_cases(6, 60) {
+        let (w, shape) = random_layer(&mut rng);
+        let mut config = SimConfig::small();
+        config.accel.num_clusters = rng.gen_range_usize(1, 4);
+        config.accel.cluster.compute_units = rng.gen_range_usize(2, 7);
+        config.accel.cluster.chunk_size = [64, 128][rng.gen_range_usize(0, 2)];
+        let model = MaskModel::new(&w, config.accel.cluster.chunk_size);
+        for mode in modes {
+            for depth in depths {
+                let r = simulate_buffered(&w, &model, &config, mode, depth);
+                let busy = r.breakdown.nonzero + r.breakdown.zero;
+                assert_eq!(
+                    (r.compute_cycles, busy),
+                    reference_buffered(&w, &model, &config, mode, depth),
+                    "{mode:?} at {depth:?} on {shape:?}, {:?}",
+                    config.accel
+                );
+                assert!(r.accounting_holds(), "{mode:?} at {depth:?} on {shape:?}");
+            }
         }
     }
 }

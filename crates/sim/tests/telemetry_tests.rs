@@ -4,8 +4,7 @@
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::ConvShape;
 use sparten_sim::{
-    simulate_cambricon_checked, simulate_layer, simulate_layer_telemetry, trace_cluster,
-    trace_cluster_telemetry, MaskModel, Scheme, SimConfig,
+    simulate_layer, simulate_layer_telemetry, trace_cluster, MaskModel, Scheme, SimConfig,
 };
 use sparten_telemetry::Telemetry;
 
@@ -68,22 +67,6 @@ fn strided_and_unbalanced_layers_reconcile() {
 }
 
 #[test]
-fn cambricon_reconciles_and_merges() {
-    let cfg = test_config();
-    let shape = ConvShape::new(64, 8, 8, 3, 32, 1, 1);
-    let w = workload(&shape, 0.35, 0.4, 77);
-    let session = Telemetry::new();
-    let r = simulate_cambricon_checked(&w, &cfg, &session, "cam:")
-        .expect("cambricon telemetry reconciles");
-    let snap = session.metrics.snapshot();
-    assert_eq!(
-        snap.counter("Cambricon-S-like/work.zero"),
-        Some(r.sim.breakdown.zero)
-    );
-    assert!(snap.counter("Cambricon-S-like/prune.clamped_keepers").unwrap_or(0) > 0);
-}
-
-#[test]
 fn shared_session_accumulates_across_layers() {
     // Two layers into one session: counters add, per-layer invariants were
     // each checked against their own local session before merging.
@@ -117,14 +100,14 @@ fn trace_counters_match_log_utilization() {
     let cfg = test_config();
     let w = test_workload(17);
     let tel = Telemetry::new();
-    let log = trace_cluster_telemetry(
+    let log = trace_cluster(
         &w,
         &cfg,
         sparten_core::balance::BalanceMode::GbS,
         4,
         Some(&tel),
     );
-    let plain = trace_cluster(&w, &cfg, sparten_core::balance::BalanceMode::GbS, 4);
+    let plain = trace_cluster(&w, &cfg, sparten_core::balance::BalanceMode::GbS, 4, None);
     assert_eq!(log, plain, "telemetry changed the trace log");
     let snap = tel.metrics.snapshot();
     let useful = snap.counter("Trace-GB-S/trace.useful_slots").expect("useful") as f64;

@@ -17,7 +17,7 @@ fn main() {
     cfg.accel.cluster.compute_units = 4;
 
     for mode in [BalanceMode::None, BalanceMode::GbH] {
-        let log = trace_cluster(&w, &cfg, mode, 1);
+        let log = trace_cluster(&w, &cfg, mode, 1, None);
         println!(
             "== {mode:?}: utilization {:.0}% ==",
             log.utilization() * 100.0

@@ -114,6 +114,12 @@ diff -r -x cache -x journal -x events \
 echo "== analytical-model oracle (release: full golden catalog) =="
 cargo test -q --release -p sparten-model
 
+echo "== simulator sweeps (release: exhaustive case counts) =="
+# The sim crate's seeded sweeps at their full size: 60 layers of the
+# cross-simulator accounting identity, 40 of one pass vs one scheme at a
+# time, and 60 of every buffer depth vs the stand-alone reference loop.
+cargo test -q --release -p sparten-sim --features exhaustive-tests
+
 echo "== DSE batch records vs the per-config reference (release: every full-grid batch) =="
 # The dse smoke above diffs only the quick grid. This compares the
 # run-factored batch_record with a direct evaluation of every
