@@ -249,7 +249,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
 
 fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
     use sparten::core::balance::BalanceMode;
-    use sparten::sim::trace_cluster;
+    use sparten::sim::{trace_cluster, MaskModel};
     let Some(net) = flags.get("network").and_then(|n| network_by_name(n)) else {
         eprintln!("trace requires --network alexnet|googlenet|vggnet");
         return ExitCode::FAILURE;
@@ -273,7 +273,8 @@ fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
     } else {
         SimConfig::large()
     };
-    let log = trace_cluster(&w, &cfg, mode, 1, None);
+    let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
+    let log = trace_cluster(&w, &model, &cfg, mode, 1, None);
     println!(
         "{} {} under {mode:?}: utilization {:.0}%",
         net.name,

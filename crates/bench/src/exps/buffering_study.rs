@@ -27,11 +27,22 @@ pub fn run() {
         ("B=16", BufferDepth::Bounded(16)),
         ("B=inf", BufferDepth::Unbounded),
     ];
+    let modes = [BalanceMode::None, BalanceMode::GbS, BalanceMode::GbH];
+    // Every (mode, depth) run is timed from one pass over the layer.
+    let runs: Vec<_> = depths
+        .iter()
+        .flat_map(|&(_, depth)| modes.map(|mode| (mode, depth)))
+        .collect();
+    let results = simulate_buffered(&w, &model, &cfg, &runs);
+    let result = |mode, depth| {
+        let i = runs.iter().position(|&run| run == (mode, depth));
+        &results[i.expect("every reported run is timed")]
+    };
     let mut rows = Vec::new();
     for (label, depth) in depths {
         let mut row = vec![label.to_string()];
-        for mode in [BalanceMode::None, BalanceMode::GbS, BalanceMode::GbH] {
-            let r = simulate_buffered(&w, &model, &cfg, mode, depth);
+        for mode in modes {
+            let r = result(mode, depth);
             row.push(format!(
                 "{} ({:.0}%)",
                 r.compute_cycles,
@@ -45,8 +56,8 @@ pub fn run() {
         &rows,
     );
 
-    let no_gb_inf = simulate_buffered(&w, &model, &cfg, BalanceMode::None, BufferDepth::Unbounded);
-    let gbh_b1 = simulate_buffered(&w, &model, &cfg, BalanceMode::GbH, BufferDepth::Bounded(1));
+    let no_gb_inf = result(BalanceMode::None, BufferDepth::Unbounded);
+    let gbh_b1 = result(BalanceMode::GbH, BufferDepth::Bounded(1));
     crate::outln!(
         "\nGB-H with a strict barrier ({} cycles) beats no-GB with infinite \
          buffering ({} cycles): the imbalance is systematic, as §3.3 argues.",

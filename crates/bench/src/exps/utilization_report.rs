@@ -13,16 +13,16 @@ use crate::{network_config, print_table, SEED};
 use sparten::core::balance::BalanceMode;
 use sparten::nn::all_networks;
 use sparten::nn::generate::Workload;
-use sparten::sim::{trace_cluster, SimConfig};
+use sparten::sim::{trace_cluster, MaskModel, SimConfig};
 use sparten::telemetry::Telemetry;
 
 /// Traces one (layer, mode) pair into a fresh telemetry session and reads
 /// the utilization off its counters. The ratio equals
 /// `ClusterTraceLog::utilization` exactly: both divide the same u64 slot
 /// totals (a fully idle trace counts as 100%, matching the log).
-fn traced_utilization(w: &Workload, cfg: &SimConfig, mode: BalanceMode) -> f64 {
+fn traced_utilization(w: &Workload, model: &MaskModel, cfg: &SimConfig, mode: BalanceMode) -> f64 {
     let tel = Telemetry::new();
-    trace_cluster(w, cfg, mode, 4, Some(&tel));
+    trace_cluster(w, model, cfg, mode, 4, Some(&tel));
     let snap = tel.metrics.snapshot();
     let sum_suffix = |suffix: &str| -> u64 {
         snap.entries
@@ -51,9 +51,10 @@ pub fn run() {
         let cfg: SimConfig = network_config(&net);
         for spec in &net.layers {
             let w = spec.workload(SEED);
+            let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
             let utils: Vec<f64> = [BalanceMode::None, BalanceMode::GbS, BalanceMode::GbH]
                 .iter()
-                .map(|&mode| traced_utilization(&w, &cfg, mode))
+                .map(|&mode| traced_utilization(&w, &model, &cfg, mode))
                 .collect();
             no_gb.observe(utils[0]);
             rows.push(vec![

@@ -16,10 +16,11 @@
 //!   partial sums are routed through the cluster's permutation network
 //!   ([`GroupAssignment::chunk_routing`]).
 
-use sparten_nn::Filter;
-use sparten_tensor::SparseVector;
+use std::cmp::Reverse;
 
-use crate::chunking::filter_to_chunks;
+use sparten_nn::Filter;
+
+use crate::chunking::chunks_per_window;
 
 /// Which greedy-balancing variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -289,15 +290,12 @@ fn gb_groups_k(
     per_chunk: bool,
     k: usize,
 ) -> Vec<GroupAssignment> {
-    // Whole-filter densities and (for GB-H) per-chunk densities.
+    // Whole-filter densities and (for GB-H) per-chunk non-zero counts.
     let whole: Vec<f64> = filters.iter().map(Filter::density).collect();
-    let sparse: Vec<SparseVector> = if per_chunk {
-        filters
-            .iter()
-            .map(|f| filter_to_chunks(f, chunk_size))
-            .collect()
+    let (chunk_nnz, chunks) = if per_chunk {
+        chunk_nnz_table(filters, chunk_size)
     } else {
-        Vec::new()
+        (Vec::new(), 0)
     };
 
     let mut ids: Vec<usize> = (0..filters.len()).collect();
@@ -309,18 +307,13 @@ fn gb_groups_k(
             sort_by_density(&mut sorted, |i| whole[i]);
             let per_cu = collocate_k(&sorted, units, k);
             let produced_order = produced_from_per_cu(&per_cu);
-            let per_chunk_cu = if per_chunk {
-                let num_chunks = sparse[group_ids[0]].num_chunks();
-                (0..num_chunks)
-                    .map(|c| {
-                        let mut by_chunk = group_ids.to_vec();
-                        sort_by_density(&mut by_chunk, |i| sparse[i].chunks()[c].density());
-                        collocate_k(&by_chunk, units, k)
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let per_chunk_cu = (0..chunks)
+                .map(|c| {
+                    let mut by_chunk = group_ids.to_vec();
+                    by_chunk.sort_unstable_by_key(|&i| (Reverse(chunk_nnz[i * chunks + c]), i));
+                    collocate_k(&by_chunk, units, k)
+                })
+                .collect();
             GroupAssignment {
                 produced_order,
                 per_cu,
@@ -328,6 +321,36 @@ fn gb_groups_k(
             }
         })
         .collect()
+}
+
+/// Every filter's per-chunk non-zero counts, `table[f · chunks + c]`, with
+/// `chunks` per filter in the padded linearization's order: tap-major,
+/// each tap's channel fiber cut into `chunk_size` pieces. Padding makes
+/// every chunk `chunk_size` long, so ordering chunks by count orders them
+/// exactly as by density: the per-chunk key of GB-H and Figure 14.
+fn chunk_nnz_table(filters: &[Filter], chunk_size: usize) -> (Vec<u32>, usize) {
+    let Some(first) = filters.first() else {
+        return (Vec::new(), 0);
+    };
+    let k = first.kernel();
+    let chunks = chunks_per_window(first.channels(), k, chunk_size);
+    let table: Vec<u32> = filters
+        .iter()
+        .flat_map(|f| {
+            (0..k * k).flat_map(move |tap| {
+                f.weights()
+                    .fiber(tap % k, tap / k)
+                    .chunks(chunk_size)
+                    .map(|piece| piece.iter().filter(|&&v| v != 0.0).count() as u32)
+            })
+        })
+        .collect();
+    assert_eq!(
+        table.len(),
+        filters.len() * chunks,
+        "filters differ in shape"
+    );
+    (table, chunks)
 }
 
 /// Statically unshuffles the *next* layer's weights so it consumes a
@@ -365,19 +388,13 @@ pub fn paired_chunk_densities(
     chunk_size: usize,
     chunk_index: usize,
 ) -> Vec<f64> {
-    let sparse: Vec<SparseVector> = filters
-        .iter()
-        .map(|f| filter_to_chunks(f, chunk_size))
-        .collect();
+    let (chunk_nnz, chunks) = chunk_nnz_table(filters, chunk_size);
+    let density = |f: usize| chunk_nnz[f * chunks + chunk_index] as f64 / chunk_size as f64;
     let mut ids: Vec<usize> = (0..filters.len()).collect();
-    sort_by_density(&mut ids, |i| sparse[i].chunks()[chunk_index].density());
+    sort_by_density(&mut ids, density);
     let m = ids.len();
     (0..m / 2)
-        .map(|u| {
-            let a = sparse[ids[u]].chunks()[chunk_index].density();
-            let b = sparse[ids[m - 1 - u]].chunks()[chunk_index].density();
-            (a + b) / 2.0
-        })
+        .map(|u| (density(ids[u]) + density(ids[m - 1 - u])) / 2.0)
         .collect()
 }
 
@@ -402,6 +419,7 @@ pub fn utilization(per_barrier_unit_work: &[Vec<usize>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunking::filter_to_chunks;
     use sparten_nn::generate::random_filters;
     use sparten_nn::ConvShape;
 

@@ -7,8 +7,15 @@
 //! its 4×4 multiplier array, taking `⌈I/4⌉·⌈F/4⌉` cycles and computing all
 //! I·F products, which a crossbar scatters to accumulators. The filter-group
 //! broadcast imposes an inter-PE barrier at every (channel, group) step.
-//! Per-region non-zero counts come from [`MaskModel`], whose inner loops
-//! run on the word-parallel `sparten_arch::fast` kernels.
+//!
+//! The steps are timed by their factors, not one by one. A group's batch
+//! count `⌈F/4⌉` is broadcast to every PE, so a step's barrier is `⌈F/4⌉`
+//! times the slowest PE's `Σ ⌈I/4⌉` over its tiles, and a channel's steps
+//! over all groups take `Σ_g ⌈F_g/4⌉` times that: one barrier term per
+//! channel, the form the closed-form model in `sparten-model` evaluates
+//! too. Each (tile, channel) input and (group, channel) weight count is
+//! taken once from the workload; the layer's true sparse MACs and the
+//! traffic counts come from [`MaskModel`].
 //!
 //! Captured overheads, matching §2.1.1 and the Figure 10–12 decomposition:
 //!
@@ -24,11 +31,13 @@
 //! * border products that fall outside the output map are likewise counted
 //!   as wasted.
 
+use std::collections::BTreeMap;
+
 use sparten_core::SimError;
 use sparten_faults::{UnitFault, UnitFaultSpec};
 use sparten_nn::generate::Workload;
 use sparten_nn::ConvShape;
-use sparten_telemetry::{StallCause, Telemetry};
+use sparten_telemetry::{Histogram, StallCause, Telemetry};
 
 use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
 use crate::config::{ScnnConfig, SimConfig};
@@ -114,110 +123,106 @@ pub fn simulate_scnn(
 ) -> Result<SimResult, SimError> {
     let shape = &workload.shape;
     let scnn = &config.scnn;
-    let f_edge = scnn.mult_edge as u64;
-    let i_edge = scnn.mult_edge as u64;
+    let edge = scnn.mult_edge as u32;
     let d = shape.in_channels;
     let k = shape.kernel;
     let groups = shape.num_filters.div_ceil(scnn.output_group);
+    let dense_inputs = variant == ScnnVariant::Dense;
+    let dense_filters = matches!(variant, ScnnVariant::OneSided | ScnnVariant::Dense);
 
-    // Per-(sub-tile, channel) input non-zero counts.
+    // i(t, c): per-(sub-tile, channel) input non-zero counts, one row of
+    // channels per tile. A dense side counts every cell.
     let tiles = tiles(shape, scnn);
-    let mut tile_channel_nnz = vec![0u32; tiles.len() * d];
-    for (t, &(_, (sx, sl), (sy, swl))) in tiles.iter().enumerate() {
+    let mut tile_nnz = vec![0u32; tiles.len() * d];
+    for (row, &(_, (sx, sl), (sy, swl))) in tile_nnz.chunks_exact_mut(d).zip(&tiles) {
+        if dense_inputs {
+            row.fill((sl * swl) as u32);
+            continue;
+        }
         for y in sy..sy + swl {
             for x in sx..sx + sl {
-                for (z, &v) in workload.input.fiber(x, y).iter().enumerate() {
-                    let dense_input = variant == ScnnVariant::Dense;
-                    if v != 0.0 || dense_input {
-                        tile_channel_nnz[t * d + z] += 1;
-                    }
-                }
+                count_nonzeros(row, workload.input.fiber(x, y));
             }
         }
     }
 
-    // Per-(group, channel) filter non-zero counts (summed over the group's
-    // filters and all k² taps).
-    let mut group_channel_nnz = vec![0u32; groups * d];
+    // f(g, c): per-(group, channel) filter non-zero counts, summed over the
+    // group's filters and all k² taps, one row of channels per group.
+    let mut group_nnz = vec![0u32; groups * d];
     for (f, filter) in workload.filters.iter().enumerate() {
-        let g = f / scnn.output_group;
-        let dense_filters = matches!(variant, ScnnVariant::OneSided | ScnnVariant::Dense);
+        let row = &mut group_nnz[f / scnn.output_group * d..][..d];
+        if dense_filters {
+            row.iter_mut().for_each(|n| *n += (k * k) as u32);
+            continue;
+        }
         for fy in 0..k {
             for fx in 0..k {
-                for (z, &v) in filter.weights().fiber(fx, fy).iter().enumerate() {
-                    if v != 0.0 || dense_filters {
-                        group_channel_nnz[g * d + z] += 1;
-                    }
-                }
+                count_nonzeros(row, filter.weights().fiber(fx, fy));
             }
         }
     }
 
-    // Main timing loop: one barrier per (group, channel).
+    // Every (group, channel) step broadcasts the group's ⌈f/e⌉ weight
+    // batches to every PE, and PE p spends ⌈f/e⌉ · A(p, c) cycles on it,
+    // A(p, c) = Σ_{t ∈ p} ⌈i(t, c)/e⌉. The step barrier is therefore
+    // ⌈f/e⌉ times the slowest PE's latency for A, and summing over groups
+    // times a channel's steps by their factors: Bsum(c) = Σ_g ⌈f(g, c)/e⌉
+    // scales both the barrier and each PE's cycles.
     let probe = tel.map(|t| Probe::new(t, variant.name()));
     let hist_step = probe.as_ref().map(|p| p.histogram("hist.step_cycles"));
-    let mut tally = StallTally::default();
+    let victim = fault.filter(|fa| fa.cluster < scnn.num_pes);
+    // ⌈n/e⌉ for every count a tile or a group can hold, looked up rather
+    // than divided per (tile, channel).
+    let max_count = (scnn.tile * scnn.tile).max(scnn.output_group * k * k) as u32;
+    let ceil: Vec<u64> = (0..=max_count)
+        .map(|n| u64::from(n.div_ceil(edge)))
+        .collect();
+    let batches = |n: &u32| ceil[*n as usize];
 
     let mut makespan = 0u64;
-    let mut busy_slots = vec![0u64; scnn.num_pes];
     let mut pe_cycles_total = vec![0u64; scnn.num_pes];
     let mut total_products = 0u64;
     let slots_per_cycle = (scnn.mult_edge * scnn.mult_edge) as u64;
-    let mut pe_cycles = vec![0u64; scnn.num_pes];
-    for g in 0..groups {
-        for c in 0..d {
-            // One (group, channel) barrier is SCNN's chunk batch; honor a
-            // cooperative cancellation here like the SparTen inner loop.
-            sparten_telemetry::cancel::checkpoint();
-            let f_nnz = group_channel_nnz[g * d + c] as u64;
-            pe_cycles.iter_mut().for_each(|v| *v = 0);
-            if f_nnz > 0 {
-                let f_batches = f_nnz.div_ceil(f_edge);
-                for (t, &(owner, _, _)) in tiles.iter().enumerate() {
-                    let i_nnz = tile_channel_nnz[t * d + c] as u64;
-                    if i_nnz == 0 {
-                        continue;
-                    }
-                    let cycles = i_nnz.div_ceil(i_edge) * f_batches;
-                    pe_cycles[owner] += cycles;
-                    total_products += i_nnz * f_nnz;
-                    if let Some(h) = &hist_step {
-                        // Idle multiplier-array slots from the ⌈I/4⌉·⌈F/4⌉
-                        // quantization of this tile's batch.
-                        tally.multiplier_quantization +=
-                            cycles * slots_per_cycle - i_nnz * f_nnz;
-                        h.record(cycles);
-                    }
+    let mut pe_batches = vec![0u64; scnn.num_pes];
+    for c in 0..d {
+        // A channel's steps are SCNN's chunk batches; honor a cooperative
+        // cancellation here like the SparTen inner loop.
+        sparten_telemetry::cancel::checkpoint();
+        let inputs = tile_nnz.iter().skip(c).step_by(d);
+        let weights = group_nnz.iter().skip(c).step_by(d);
+        let (mut b_sum, mut f_sum, mut i_sum) = (0u64, 0u64, 0u64);
+        for f in weights.clone() {
+            b_sum += batches(f);
+            f_sum += u64::from(*f);
+        }
+        pe_batches.fill(0);
+        for (&(pe, _, _), i) in tiles.iter().zip(inputs.clone()) {
+            pe_batches[pe] += batches(i);
+            i_sum += u64::from(*i);
+        }
+        total_products += i_sum * f_sum;
+        // The barrier advances at the slowest PE's *latency* — a slow
+        // victim stretches only the barrier, its cycle count stays true.
+        let mut slowest = pe_batches.iter().copied().max().unwrap_or(0);
+        if let Some(fa) = victim {
+            let a = pe_batches[fa.cluster];
+            match fa.fault {
+                UnitFault::Slow(k) => slowest = slowest.max(a * k.max(1)),
+                UnitFault::Stuck if a > 0 && b_sum > 0 => {
+                    return Err(SimError::StuckUnit {
+                        cluster: fa.cluster,
+                        unit: 0,
+                    })
                 }
+                UnitFault::Stuck => {}
             }
-            // The (group, channel) barrier advances at the slowest PE's
-            // *latency* — a slow victim stretches only the barrier, its
-            // busy-slot accounting keeps the true cycle count.
-            let mut barrier = 0u64;
-            for (pe, &cy) in pe_cycles.iter().enumerate() {
-                let mut latency = cy;
-                if let Some(fa) = fault {
-                    if fa.cluster == pe {
-                        match fa.fault {
-                            UnitFault::Slow(k) => latency = cy * k.max(1),
-                            UnitFault::Stuck => {
-                                if cy > 0 {
-                                    return Err(SimError::StuckUnit {
-                                        cluster: pe,
-                                        unit: 0,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                barrier = barrier.max(latency);
-            }
-            makespan += barrier;
-            for (pe, &cy) in pe_cycles.iter().enumerate() {
-                busy_slots[pe] += cy * slots_per_cycle;
-                pe_cycles_total[pe] += cy;
-            }
+        }
+        makespan += b_sum * slowest;
+        for (total, &a) in pe_cycles_total.iter_mut().zip(&pe_batches) {
+            *total += a * b_sum;
+        }
+        if let Some(h) = &hist_step {
+            record_steps(h, inputs.map(batches), weights.map(batches));
         }
     }
 
@@ -226,7 +231,7 @@ pub fn simulate_scnn(
     // the one-sided/dense variants) is the "zero" component.
     let nonzero = model.total_sparse_macs().min(total_products);
     let zero = total_products - nonzero;
-    let total_busy: u64 = busy_slots.iter().sum();
+    let total_busy = pe_cycles_total.iter().sum::<u64>() * slots_per_cycle;
     let intra = total_busy - total_products;
     let inter: u64 = pe_cycles_total
         .iter()
@@ -245,17 +250,24 @@ pub fn simulate_scnn(
 
     if let Some(pr) = &probe {
         for (pe, &cy) in pe_cycles_total.iter().enumerate() {
+            let busy_slots = cy * slots_per_cycle;
             pr.thread(pe as u32, &format!("pe{pe}"));
-            pr.span(pe as u32, "pe", 0, cy, &[("busy_slots", busy_slots[pe])]);
+            pr.span(pe as u32, "pe", 0, cy, &[("busy_slots", busy_slots)]);
             if makespan > 0 {
                 pr.gauge(
                     "occupancy.pe_util",
-                    busy_slots[pe] as f64 / (makespan * slots_per_cycle) as f64,
+                    busy_slots as f64 / (makespan * slots_per_cycle) as f64,
                 );
             }
         }
-        debug_assert_eq!(tally.multiplier_quantization, intra);
-        tally.pe_barrier_idle = inter;
+        // Every busy slot beyond a product is an idle multiplier-array slot
+        // of the ⌈i/e⌉·⌈f/e⌉ quantization, so that cause is the whole intra
+        // term.
+        let tally = StallTally {
+            multiplier_quantization: intra,
+            pe_barrier_idle: inter,
+            ..StallTally::default()
+        };
         tally.emit(pr);
         pr.work(nonzero, zero);
         // Crossbar/accumulator-bank contention is not modelled (perfect
@@ -289,6 +301,38 @@ pub fn simulate_scnn(
             crossbar_ops: total_products,
         },
     })
+}
+
+/// Adds the non-zero cells of one `fiber` to its channels' `counts`.
+fn count_nonzeros(counts: &mut [u32], fiber: &[f32]) {
+    for (n, &v) in counts.iter_mut().zip(fiber) {
+        *n += u32::from(v != 0.0);
+    }
+}
+
+/// Records one channel's steps into `hist.step_cycles`, given the batch
+/// counts ⌈i/e⌉ of its tiles and ⌈f/e⌉ of its groups: each (tile, group)
+/// step with both counts non-zero takes their product in cycles. Tiles and
+/// groups share few distinct batch counts, so each distinct pair is
+/// recorded once, with its tiles × groups multiplicity.
+fn record_steps(
+    hist: &Histogram,
+    inputs: impl Iterator<Item = u64>,
+    weights: impl Iterator<Item = u64>,
+) {
+    fn multiset(batches: impl Iterator<Item = u64>) -> BTreeMap<u64, u64> {
+        let mut m = BTreeMap::new();
+        for b in batches.filter(|&b| b > 0) {
+            *m.entry(b).or_insert(0) += 1;
+        }
+        m
+    }
+    let weights = multiset(weights);
+    for (a, tiles) in multiset(inputs) {
+        for (&b, &groups) in &weights {
+            hist.record_n(a * b, tiles * groups);
+        }
+    }
 }
 
 #[cfg(test)]

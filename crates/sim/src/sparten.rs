@@ -104,27 +104,33 @@ pub fn simulate_sparten_with_balance(
         .expect("fault-free simulation cannot fail")
 }
 
-/// Simulates one layer two-sided under `mode` with broadcast-buffer depth
-/// `depth`; `Bounded(1)` is exactly [`simulate_sparten`].
+/// Simulates one layer two-sided once per `(mode, depth)` run: `mode`'s
+/// balance timed through a broadcast buffer `depth` chunks deep. Every run
+/// reads the joins of one pass; results come back in the order of `runs`,
+/// and a `(mode, Bounded(1))` run is exactly [`simulate_sparten`].
 ///
 /// # Panics
 ///
-/// Panics if `depth` is `Bounded(0)`.
+/// Panics if a depth is `Bounded(0)`.
 pub fn simulate_buffered(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
-    mode: BalanceMode,
-    depth: BufferDepth,
-) -> SimResult {
-    let balance = layer_balance(workload, config, Sparsity::TwoSided, mode);
+    runs: &[(BalanceMode, BufferDepth)],
+) -> Vec<SimResult> {
     let positions = workload.shape.out_height() * workload.shape.out_width();
-    let run = Run::new(model, config, Sparsity::TwoSided, balance, None, None)
-        .with_buffer(depth, positions);
-    simulate_sparten_pass(workload, model, config, vec![run])
-        .pop()
-        .expect("one run, one result")
-        .expect("fault-free simulation cannot fail")
+    let runs = runs
+        .iter()
+        .map(|&(mode, depth)| {
+            let balance = layer_balance(workload, config, Sparsity::TwoSided, mode);
+            Run::new(model, config, Sparsity::TwoSided, balance, None, None)
+                .with_buffer(depth, positions)
+        })
+        .collect();
+    simulate_sparten_pass(workload, model, config, runs)
+        .into_iter()
+        .map(|r| r.expect("fault-free simulation cannot fail"))
+        .collect()
 }
 
 /// The assignment a scheme runs under: `mode` balanced over the configured
@@ -840,24 +846,27 @@ mod tests {
     #[test]
     fn depth_one_matches_the_barrier_simulator() {
         let (w, cfg, m) = buffer_setup();
-        let buffered = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Bounded(1));
+        let runs = [(BalanceMode::None, BufferDepth::Bounded(1))];
+        let buffered = simulate_buffered(&w, &m, &cfg, &runs);
         let barrier = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
         // Same semantics: issue gated on everyone finishing the previous
         // chunk, with the same overhead per chunk.
-        assert_eq!(buffered, barrier);
+        assert_eq!(buffered, [barrier]);
     }
 
     #[test]
     fn deeper_buffers_never_hurt() {
         let (w, cfg, m) = buffer_setup();
-        let mut last = u64::MAX;
-        for depth in [1usize, 2, 4, 8, 32] {
-            let r = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Bounded(depth));
-            assert!(r.compute_cycles <= last && r.accounting_holds(), "depth {depth}");
-            last = r.compute_cycles;
-        }
-        let unbounded = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Unbounded);
-        assert!(unbounded.compute_cycles <= last);
+        let depths = [1usize, 2, 4, 8, 32].map(BufferDepth::Bounded);
+        let runs: Vec<_> = depths
+            .into_iter()
+            .chain([BufferDepth::Unbounded])
+            .map(|depth| (BalanceMode::None, depth))
+            .collect();
+        let results = simulate_buffered(&w, &m, &cfg, &runs);
+        let cycles: Vec<u64> = results.iter().map(|r| r.compute_cycles).collect();
+        assert!(cycles.windows(2).all(|p| p[1] <= p[0]), "{cycles:?}");
+        assert!(results.iter().all(SimResult::accounting_holds));
     }
 
     #[test]
@@ -865,9 +874,13 @@ mod tests {
         // The paper's claim: the imbalance is systematic — even infinite
         // input buffering leaves no-GB behind GB-H at the per-chunk barrier.
         let (w, cfg, m) = buffer_setup();
-        let no_gb_infinite =
-            simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Unbounded);
-        let gbh_strict = simulate_buffered(&w, &m, &cfg, BalanceMode::GbH, BufferDepth::Bounded(1));
+        let runs = [
+            (BalanceMode::None, BufferDepth::Unbounded),
+            (BalanceMode::GbH, BufferDepth::Bounded(1)),
+        ];
+        let [no_gb_infinite, gbh_strict] = &simulate_buffered(&w, &m, &cfg, &runs)[..] else {
+            panic!("two runs, two results");
+        };
         assert!(
             gbh_strict.compute_cycles < no_gb_infinite.compute_cycles,
             "GB-H@B=1 {} !< no-GB@B=inf {}",
@@ -879,8 +892,13 @@ mod tests {
     #[test]
     fn useful_work_is_depth_invariant() {
         let (w, cfg, m) = buffer_setup();
-        let a = simulate_buffered(&w, &m, &cfg, BalanceMode::GbS, BufferDepth::Bounded(1));
-        let b = simulate_buffered(&w, &m, &cfg, BalanceMode::GbS, BufferDepth::Unbounded);
+        let runs = [
+            (BalanceMode::GbS, BufferDepth::Bounded(1)),
+            (BalanceMode::GbS, BufferDepth::Unbounded),
+        ];
+        let [a, b] = &simulate_buffered(&w, &m, &cfg, &runs)[..] else {
+            panic!("two runs, two results");
+        };
         assert_eq!(a.breakdown.nonzero, b.breakdown.nonzero);
         assert!(b.breakdown_fractions()[0] >= a.breakdown_fractions()[0]);
     }

@@ -113,7 +113,8 @@ fn trace_scope(mode: BalanceMode) -> &'static str {
 
 /// Traces the layer's first `max_positions` output positions under the
 /// given balance mode, back to back on one cluster's units (the positions
-/// are not sliced across clusters).
+/// are not sliced across clusters), reading the joins from the layer's
+/// `model`.
 ///
 /// With a telemetry session, every chunk barrier is also emitted through
 /// the recorder — one thread track per compute unit, one span per unit per
@@ -122,6 +123,7 @@ fn trace_scope(mode: BalanceMode) -> &'static str {
 /// exactly [`ClusterTraceLog::utilization`].
 pub fn trace_cluster(
     workload: &Workload,
+    model: &MaskModel,
     config: &SimConfig,
     mode: BalanceMode,
     max_positions: usize,
@@ -130,7 +132,6 @@ pub fn trace_cluster(
     let shape = &workload.shape;
     let units = config.accel.cluster.compute_units;
     let chunk_size = config.accel.cluster.chunk_size;
-    let model = MaskModel::new(workload, chunk_size);
     let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
     let chunks = model.chunks_per_window();
     // The pass's own unit layout: one barrier per (group, chunk), `depth`
@@ -205,18 +206,19 @@ mod tests {
     use sparten_nn::generate::workload;
     use sparten_nn::ConvShape;
 
-    fn setup() -> (Workload, SimConfig) {
+    fn setup() -> (Workload, MaskModel, SimConfig) {
         let shape = ConvShape::new(64, 6, 6, 3, 16, 1, 1);
         let w = workload(&shape, 0.4, 0.35, 17);
         let mut cfg = SimConfig::small();
         cfg.accel.cluster.compute_units = 4;
-        (w, cfg)
+        let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
+        (w, m, cfg)
     }
 
     #[test]
     fn trace_covers_positions_groups_chunks() {
-        let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::None, 3, None);
+        let (w, m, cfg) = setup();
+        let log = trace_cluster(&w, &m, &cfg, BalanceMode::None, 3, None);
         // 3 positions × 4 groups (16 filters / 4 units) × 9 chunks.
         assert_eq!(log.events.len(), 3 * 4 * 9);
         assert!(log.events.iter().all(|e| e.unit_work.len() == 4));
@@ -224,8 +226,8 @@ mod tests {
 
     #[test]
     fn barrier_is_the_unit_maximum() {
-        let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 2, None);
+        let (w, m, cfg) = setup();
+        let log = trace_cluster(&w, &m, &cfg, BalanceMode::GbS, 2, None);
         for e in &log.events {
             assert_eq!(e.barrier, *e.unit_work.iter().max().expect("units"));
             assert_eq!(
@@ -240,16 +242,16 @@ mod tests {
 
     #[test]
     fn gb_raises_traced_utilization() {
-        let (w, cfg) = setup();
-        let plain = trace_cluster(&w, &cfg, BalanceMode::None, 6, None).utilization();
-        let gbh = trace_cluster(&w, &cfg, BalanceMode::GbH, 6, None).utilization();
+        let (w, m, cfg) = setup();
+        let plain = trace_cluster(&w, &m, &cfg, BalanceMode::None, 6, None).utilization();
+        let gbh = trace_cluster(&w, &m, &cfg, BalanceMode::GbH, 6, None).utilization();
         assert!(gbh > plain, "GB-H {gbh} !> none {plain}");
     }
 
     #[test]
     fn render_produces_one_strip_per_unit() {
-        let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 1, None);
+        let (w, m, cfg) = setup();
+        let log = trace_cluster(&w, &m, &cfg, BalanceMode::GbS, 1, None);
         let text = log.render(2, 20);
         // Two events × (1 header + 4 units) lines.
         assert_eq!(text.lines().count(), 2 * 5);

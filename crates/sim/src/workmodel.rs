@@ -239,14 +239,12 @@ impl MaskModel {
             "work table built for another layer"
         );
         let (window, joins) = (&table.window, &mut table.joins);
-        // Constant widths let the chunk loop unroll; each arm instantiates
-        // the same loop.
-        match self.words_per_chunk {
-            1 => join_rows(window, &self.filter_words, joins, 1),
-            2 => join_rows(window, &self.filter_words, joins, 2),
-            4 => join_rows(window, &self.filter_words, joins, 4),
-            wpc => join_rows(window, &self.filter_words, joins, wpc),
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: the CPU has the instruction `join_popcnt` is built for.
+            return unsafe { join_popcnt(window, &self.filter_words, joins, self.words_per_chunk) };
         }
+        join(window, &self.filter_words, joins, self.words_per_chunk)
     }
 
     /// Total two-sided MACs of the layer — the true sparse compute volume.
@@ -312,6 +310,31 @@ impl MaskModel {
             })
             .collect()
     }
+}
+
+/// The portable join: [`join_rows`] at the table's chunk width. Constant
+/// widths let the chunk loop unroll; each arm instantiates the same loop.
+#[inline(always)]
+fn join(window: &[u64], filter_words: &[u64], joins: &mut [u16], wpc: usize) -> u64 {
+    match wpc {
+        1 => join_rows(window, filter_words, joins, 1),
+        2 => join_rows(window, filter_words, joins, 2),
+        4 => join_rows(window, filter_words, joins, 4),
+        wpc => join_rows(window, filter_words, joins, wpc),
+    }
+}
+
+/// [`join`] compiled for the `popcnt` instruction. The workspace targets
+/// baseline x86-64, where `count_ones` is a SWAR bit-twiddling sequence;
+/// [`MaskModel::fill_joins`] picks this copy when the CPU has `popcnt`.
+///
+/// # Safety
+///
+/// The CPU must have `popcnt`: callers check `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn join_popcnt(window: &[u64], filter_words: &[u64], joins: &mut [u16], wpc: usize) -> u64 {
+    join(window, filter_words, joins, wpc)
 }
 
 /// The join loop: `joins[f · chunks + c]` = popcount of window chunk `c`
@@ -478,6 +501,39 @@ mod tests {
         for (f, filter) in w.filters.iter().enumerate() {
             let per_chunk: u32 = m.filter_chunk_nnz(f).iter().sum();
             assert_eq!(per_chunk as usize, filter.nnz());
+        }
+    }
+
+    /// The `popcnt` copy of the join fills the same tables and totals as
+    /// the portable loop at 1–4 words per chunk: the three constant arms
+    /// and the generic one.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn popcnt_join_matches_portable_join() {
+        if !std::arch::is_x86_feature_detected!("popcnt") {
+            return; // the portable loop is the only path on this CPU
+        }
+        for wpc in 1..=4 {
+            for density in [0.5, 1.0] {
+                let shape = ConvShape::new(300, 5, 6, 3, 7, 1, 1);
+                let w = workload(&shape, density, density, 40 + wpc as u64);
+                let m = MaskModel::new(&w, 64 * wpc);
+                let (mut portable, mut fast) = (m.work_table(), m.work_table());
+                let oh = shape.out_height();
+                for p in 0..oh * shape.out_width() {
+                    m.load_window(p % oh, p / oh, &mut portable);
+                    m.load_window(p % oh, p / oh, &mut fast);
+                    let total = join(&portable.window, &m.filter_words, &mut portable.joins, wpc);
+                    // SAFETY: the CPU has `popcnt` (checked above).
+                    let fast_total =
+                        unsafe { join_popcnt(&fast.window, &m.filter_words, &mut fast.joins, wpc) };
+                    assert_eq!(
+                        fast_total, total,
+                        "{wpc} words, density {density}, position {p}"
+                    );
+                    assert_eq!(fast.joins, portable.joins, "{wpc} words, density {density}");
+                }
+            }
         }
     }
 }

@@ -99,15 +99,24 @@ fn shared_session_accumulates_across_layers() {
 fn trace_counters_match_log_utilization() {
     let cfg = test_config();
     let w = test_workload(17);
+    let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
     let tel = Telemetry::new();
     let log = trace_cluster(
         &w,
+        &model,
         &cfg,
         sparten_core::balance::BalanceMode::GbS,
         4,
         Some(&tel),
     );
-    let plain = trace_cluster(&w, &cfg, sparten_core::balance::BalanceMode::GbS, 4, None);
+    let plain = trace_cluster(
+        &w,
+        &model,
+        &cfg,
+        sparten_core::balance::BalanceMode::GbS,
+        4,
+        None,
+    );
     assert_eq!(log, plain, "telemetry changed the trace log");
     let snap = tel.metrics.snapshot();
     let useful = snap.counter("Trace-GB-S/trace.useful_slots").expect("useful") as f64;

@@ -139,9 +139,15 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v`, as `n` calls to
+    /// [`Histogram::record`] would.
+    pub fn record_n(&self, v: u64, n: u64) {
         let b = (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[b].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
     }
 
     /// Per-bucket counts.
@@ -460,6 +466,19 @@ mod tests {
         assert_eq!(b[11], 1); // 1024
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1030);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_records() {
+        let (one_by_one, batched) = (Histogram::default(), Histogram::default());
+        for (v, n) in [(0, 3), (5, 4), (1024, 2), (7, 0)] {
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            batched.record_n(v, n);
+        }
+        assert_eq!(batched.buckets(), one_by_one.buckets());
+        assert_eq!(batched.sum(), one_by_one.sum());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use sparten::core::balance::BalanceMode;
 use sparten::nn::generate::workload;
 use sparten::nn::ConvShape;
-use sparten::sim::{trace_cluster, SimConfig};
+use sparten::sim::{trace_cluster, MaskModel, SimConfig};
 
 fn main() {
     // A high-spread filter set on a small cluster makes imbalance visible.
@@ -15,9 +15,10 @@ fn main() {
     let w = workload(&shape, 0.4, 0.35, 6);
     let mut cfg = SimConfig::small();
     cfg.accel.cluster.compute_units = 4;
+    let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
 
     for mode in [BalanceMode::None, BalanceMode::GbH] {
-        let log = trace_cluster(&w, &cfg, mode, 1, None);
+        let log = trace_cluster(&w, &model, &cfg, mode, 1, None);
         println!(
             "== {mode:?}: utilization {:.0}% ==",
             log.utilization() * 100.0
