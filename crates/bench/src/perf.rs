@@ -256,17 +256,26 @@ pub fn run_benchmarks(opts: &BenchOptions, extras: Vec<ExtraBench<'_>>) -> Bench
             std::hint::black_box(simulate_layer(&w, &model, &config, scheme));
         });
     }
-    // A real Table 3 layer under every scheme, the unit of work a figure
-    // point runs: GoogLeNet Inc3a_3x3 on its registry config.
-    {
-        let net = sparten::nn::networks::googlenet();
-        let spec = net.layer("Inc3a_3x3").expect("Table 3 layer");
-        let config = crate::network_config(&net);
+    // Real Table 3 layers under every scheme, the unit of work a figure
+    // point runs, on their registry config: GoogLeNet Inc3a_3x3, and
+    // Inc5a_3x3, whose 7×7 plane gives each of 16 clusters about three
+    // positions, so every batch of sixteen positions spans several
+    // clusters.
+    let net = sparten::nn::networks::googlenet();
+    let net_config = crate::network_config(&net);
+    for layer in ["Inc3a_3x3", "Inc5a_3x3"] {
+        let spec = net.layer(layer).expect("Table 3 layer");
         let w = spec.workload(crate::SEED);
-        let model = MaskModel::new(&w, config.accel.cluster.chunk_size);
-        macro_bench("table3/GoogLeNet-Inc3a_3x3", &mut || {
-            std::hint::black_box(simulate_schemes(&w, &model, &config, &Scheme::all(), None))
-                .expect("an untraced pass has nothing to reconcile");
+        let model = MaskModel::new(&w, net_config.accel.cluster.chunk_size);
+        macro_bench(&format!("table3/GoogLeNet-{layer}"), &mut || {
+            std::hint::black_box(simulate_schemes(
+                &w,
+                &model,
+                &net_config,
+                &Scheme::all(),
+                None,
+            ))
+            .expect("an untraced pass has nothing to reconcile");
         });
     }
     macro_bench("engine/run-layer", &mut || {

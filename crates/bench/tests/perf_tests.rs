@@ -70,6 +70,7 @@ fn artifact_schema_and_registry_are_pinned() {
             "layer/SparTen",
             "layer/SCNN",
             "table3/GoogLeNet-Inc3a_3x3",
+            "table3/GoogLeNet-Inc5a_3x3",
             "engine/run-layer",
             "model/eval-point",
             "dse/1k-sweep",

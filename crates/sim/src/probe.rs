@@ -107,7 +107,7 @@ impl<'a> Probe<'a> {
 /// Local accumulator for the stall-cause decomposition of one cluster (or
 /// one PE grid): plain integers in the hot loop, one counter emission at
 /// the end.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct StallTally {
     /// [`StallCause::EmptyMaskAnd`] slot-cycles.
     pub empty_mask_and: u64,
@@ -155,6 +155,18 @@ impl StallTally {
                 probe.stall(cause, n);
             }
         }
+    }
+}
+
+impl std::ops::AddAssign for StallTally {
+    fn add_assign(&mut self, other: StallTally) {
+        self.empty_mask_and += other.empty_mask_and;
+        self.prefix_encoder_wait += other.prefix_encoder_wait;
+        self.chunk_barrier_idle += other.chunk_barrier_idle;
+        self.unit_underfill += other.unit_underfill;
+        self.multiplier_quantization += other.multiplier_quantization;
+        self.cluster_idle += other.cluster_idle;
+        self.pe_barrier_idle += other.pe_barrier_idle;
     }
 }
 

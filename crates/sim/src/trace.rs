@@ -14,7 +14,7 @@ use sparten_telemetry::Telemetry;
 use crate::config::SimConfig;
 use crate::probe::Probe;
 use crate::sparten::Schedule;
-use crate::workmodel::MaskModel;
+use crate::workmodel::{MaskModel, LANES};
 
 /// One chunk barrier's record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,11 +135,10 @@ pub fn trace_cluster(
     let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
     let chunks = model.chunks_per_window();
     // The pass's own unit layout: one barrier per (group, chunk), `depth`
-    // join-table slots per unit.
-    let schedule = Schedule::new(&balance, units, shape.num_filters, chunks);
+    // join-table rows per unit.
+    let schedule = Schedule::new(&balance, units, model);
     let depth = schedule.depth;
-    let (oh, ow) = (shape.out_height(), shape.out_width());
-    let positions = (oh * ow).min(max_positions);
+    let positions = (shape.out_height() * shape.out_width()).min(max_positions);
 
     let probe = tel.map(|t| {
         let p = Probe::new(t, trace_scope(mode));
@@ -154,43 +153,45 @@ pub fn trace_cluster(
 
     let mut table = model.work_table();
     let mut events = Vec::new();
-    for p in 0..positions {
-        model.load_window(p % oh, p / oh, &mut table);
+    for first in (0..positions).step_by(LANES) {
+        model.load_windows(first, &mut table);
         model.fill_joins(&mut table);
         let joins = table.joins();
-        for (i, slots) in schedule.slots.chunks_exact(units * depth).enumerate() {
-            let (g, c) = (i / chunks, i % chunks);
-            let unit_work: Vec<u32> = slots
-                .chunks_exact(depth)
-                .map(|held| held.iter().map(|&s| joins[s as usize] as u32).sum())
-                .collect();
-            let barrier = unit_work.iter().copied().max().unwrap_or(0);
-            if let Some(pr) = &probe {
-                for (u, &w) in unit_work.iter().enumerate() {
-                    useful_slots += w as u64;
-                    if w > 0 {
-                        pr.span(
-                            u as u32,
-                            "chunk",
-                            now,
-                            w as u64,
-                            &[("pos", p as u64), ("group", g as u64), ("chunk", c as u64)],
-                        );
+        for (lane, p) in table.positions().take(positions - first).enumerate() {
+            for (i, slots) in schedule.slots.chunks_exact(units * depth).enumerate() {
+                let (g, c) = (i / chunks, i % chunks);
+                let unit_work: Vec<u32> = slots
+                    .chunks_exact(depth)
+                    .map(|held| held.iter().map(|&s| joins[s as usize][lane] as u32).sum())
+                    .collect();
+                let barrier = unit_work.iter().copied().max().unwrap_or(0);
+                if let Some(pr) = &probe {
+                    for (u, &w) in unit_work.iter().enumerate() {
+                        useful_slots += w as u64;
+                        if w > 0 {
+                            pr.span(
+                                u as u32,
+                                "chunk",
+                                now,
+                                w as u64,
+                                &[("pos", p as u64), ("group", g as u64), ("chunk", c as u64)],
+                            );
+                        }
                     }
+                    if barrier > 0 {
+                        pr.instant(0, "barrier", now + barrier as u64, &[]);
+                    }
+                    now += barrier as u64;
+                    barrier_slots += barrier as u64 * units as u64;
                 }
-                if barrier > 0 {
-                    pr.instant(0, "barrier", now + barrier as u64, &[]);
-                }
-                now += barrier as u64;
-                barrier_slots += barrier as u64 * units as u64;
+                events.push(ChunkEvent {
+                    position: p,
+                    group: g,
+                    chunk: c,
+                    unit_work,
+                    barrier,
+                });
             }
-            events.push(ChunkEvent {
-                position: p,
-                group: g,
-                chunk: c,
-                unit_work,
-                barrier,
-            });
         }
     }
     if let Some(pr) = &probe {

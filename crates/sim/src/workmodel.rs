@@ -7,20 +7,27 @@
 //! this model precomputes the input's per-fiber masks and every filter's
 //! per-tap masks as packed `u64` words.
 //!
-//! Work is produced one output position at a time, the way a cluster sees
-//! it (§3.2): [`MaskModel::load_window`] gathers the position's k² input
-//! fibers into one contiguous, chunk-major [`WorkTable`] window, and
-//! [`MaskModel::fill_joins`] ANDs that window with every filter in one
-//! streaming pass, leaving a `filters × chunks` table of join work that
-//! every scheme timed at that position reads. Integration tests verify the
-//! table against the exact engine traces on small layers.
+//! Work is produced for a batch of sixteen consecutive output positions at
+//! a time, one *lane* each. [`MaskModel::load_windows`] gathers the batch's
+//! k² input fibers into one lane-major [`WorkTable`] window (word `i` of
+//! every lane's window side by side), and [`MaskModel::fill_joins`] ANDs
+//! that window with every filter in one streaming pass. That leaves a
+//! `filters × chunks` table of join work whose every entry is a row of
+//! sixteen lanes. Every scheme timed at those positions reads it, so a
+//! slot index names one 32-byte row and one add or max times all sixteen
+//! positions. Integration tests verify the table against the exact engine
+//! traces on small layers.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use sparten_arch::fast::{and_popcount_words, popcount_words};
+use sparten_arch::fast::popcount_words;
 use sparten_core::chunking::padded_fiber_len;
 use sparten_nn::generate::Workload;
 use sparten_nn::ConvShape;
+
+/// Output positions per [`WorkTable`] batch: the lanes of every row.
+pub(crate) const LANES: usize = 16;
 
 /// Measured per-layer densities (see [`MaskModel::measure`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,41 +58,61 @@ pub struct MaskModel {
     total_macs_cache: OnceLock<u64>,
 }
 
-/// One output position's work: its input window and the join work of every
-/// (filter, chunk) pair against it. Built by [`MaskModel::work_table`] and
-/// refilled per position, so a simulator allocates it once per layer.
+/// One batch of up to sixteen consecutive output positions: their input
+/// windows and the join work of every (filter, chunk) pair against them,
+/// lane by lane. Built by [`MaskModel::work_table`] and refilled per
+/// batch, so a simulator allocates it once per layer.
 #[derive(Debug, Clone)]
 pub struct WorkTable {
     chunks: usize,
     words_per_chunk: usize,
-    /// The k² input fibers, tap-major, so chunk `c` is the words
-    /// `c · words_per_chunk ..`; padded taps are all-zero.
-    window: Vec<u64>,
-    /// `input[c]` = popcount of window chunk `c` (one-sided work).
-    input: Vec<u16>,
-    /// `joins[f · chunks + c]` = two-sided work of filter `f`'s chunk `c`;
-    /// one trailing entry, `joins[filters · chunks]`, is always zero.
-    joins: Vec<u16>,
+    /// The batch's positions: lane `l` is position `first + l`.
+    first: usize,
+    lanes: usize,
+    /// `window[i][l]` = word `i` of lane `l`'s k² input fibers, tap-major,
+    /// so chunk `c` is the rows `c · words_per_chunk ..`; padded taps and
+    /// padding lanes are all-zero.
+    window: Vec<[u64; LANES]>,
+    /// `input[c][l]` = popcount of lane `l`'s window chunk `c` (one-sided
+    /// work).
+    input: Vec<[u16; LANES]>,
+    /// `joins[f · chunks + c][l]` = two-sided work of filter `f`'s chunk
+    /// `c` at lane `l`; one trailing row, `joins[filters · chunks]`, is
+    /// always zero.
+    joins: Vec<[u16; LANES]>,
 }
 
 impl WorkTable {
-    /// One-sided work of chunk `c`: the input chunk's popcount (every
-    /// non-zero input is multiplied when filters stay dense).
-    #[inline]
-    pub fn input(&self, c: usize) -> u32 {
-        self.input[c] as u32
+    /// The output positions the table holds, lane 0 first. Positions are
+    /// column-major: position `p` is output `(p mod out_height, p div
+    /// out_height)`.
+    pub fn positions(&self) -> Range<usize> {
+        self.first..self.first + self.lanes
     }
 
-    /// Two-sided join work (MACs) of filter `f`'s chunk `c`. Chunk indices
-    /// are tap-major: `c = tap · chunks_per_fiber + sub`.
+    /// One-sided work of chunk `c` at lane `lane`: the input chunk's
+    /// popcount (every non-zero input is multiplied when filters stay
+    /// dense).
     #[inline]
-    pub fn join(&self, f: usize, c: usize) -> u32 {
-        self.joins[f * self.chunks + c] as u32
+    pub fn input(&self, c: usize, lane: usize) -> u32 {
+        self.input[c][lane] as u32
     }
 
-    /// The join table, indexed `f · chunks_per_window + c`, with the
-    /// always-zero entry at `filters · chunks_per_window`.
-    pub(crate) fn joins(&self) -> &[u16] {
+    /// Two-sided join work (MACs) of filter `f`'s chunk `c` at lane `lane`.
+    /// Chunk indices are tap-major: `c = tap · chunks_per_fiber + sub`.
+    #[inline]
+    pub fn join(&self, f: usize, c: usize, lane: usize) -> u32 {
+        self.joins[f * self.chunks + c][lane] as u32
+    }
+
+    /// The one-sided rows, indexed by chunk.
+    pub(crate) fn inputs(&self) -> &[[u16; LANES]] {
+        &self.input
+    }
+
+    /// The join rows, indexed `f · chunks_per_window + c`, with the
+    /// always-zero row at `filters · chunks_per_window`.
+    pub(crate) fn joins(&self) -> &[[u16; LANES]] {
         &self.joins
     }
 }
@@ -191,28 +218,49 @@ impl MaskModel {
         WorkTable {
             chunks,
             words_per_chunk: self.words_per_chunk,
-            window: vec![0u64; chunks * self.words_per_chunk],
-            input: vec![0u16; chunks],
-            joins: vec![0u16; self.shape.num_filters * chunks + 1],
+            first: 0,
+            lanes: 0,
+            window: vec![[0; LANES]; chunks * self.words_per_chunk],
+            input: vec![[0; LANES]; chunks],
+            joins: vec![[0; LANES]; self.shape.num_filters * chunks + 1],
         }
     }
 
-    /// Gathers the input window of output `(ox, oy)` into `table` and sets
-    /// its one-sided work. The join table is left stale until
+    /// Gathers the input windows of the batch of output positions that
+    /// starts at position `first` into `table`, one lane each, and sets
+    /// their one-sided work. A batch holds sixteen positions, or the
+    /// layer's last ones; padding lanes read all-zero windows, so they do
+    /// no work. The join rows are left stale until
     /// [`MaskModel::fill_joins`].
-    pub fn load_window(&self, ox: usize, oy: usize, table: &mut WorkTable) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is not one of the layer's output positions.
+    pub fn load_windows(&self, first: usize, table: &mut WorkTable) {
         let s = &self.shape;
+        let oh = s.out_height();
+        let positions = oh * s.out_width();
+        assert!(first < positions, "position {first} outside the layer");
+        table.first = first;
+        table.lanes = (positions - first).min(LANES);
         let wpf = self.words_per_fiber;
-        for (tap, dst) in table.window.chunks_exact_mut(wpf).enumerate() {
-            let (tap_y, tap_x) = (tap / s.kernel, tap % s.kernel);
-            let ix = (ox * s.stride + tap_x).checked_sub(s.pad);
-            let iy = (oy * s.stride + tap_y).checked_sub(s.pad);
-            match (ix, iy) {
-                (Some(ix), Some(iy)) if ix < s.in_height && iy < s.in_width => {
-                    let base = (ix + s.in_height * iy) * wpf;
-                    dst.copy_from_slice(&self.input_words[base..base + wpf]);
+        for lane in 0..LANES {
+            let (ox, oy) = ((first + lane) % oh, (first + lane) / oh);
+            for (tap, dst) in table.window.chunks_exact_mut(wpf).enumerate() {
+                let (tap_y, tap_x) = (tap / s.kernel, tap % s.kernel);
+                let ix = (ox * s.stride + tap_x).checked_sub(s.pad);
+                let iy = (oy * s.stride + tap_y).checked_sub(s.pad);
+                match (ix, iy) {
+                    (Some(ix), Some(iy))
+                        if lane < table.lanes && ix < s.in_height && iy < s.in_width =>
+                    {
+                        let base = (ix + s.in_height * iy) * wpf;
+                        for (d, &word) in dst.iter_mut().zip(&self.input_words[base..base + wpf]) {
+                            d[lane] = word;
+                        }
+                    }
+                    _ => dst.iter_mut().for_each(|d| d[lane] = 0),
                 }
-                _ => dst.fill(0),
             }
         }
         for (n, chunk) in table
@@ -220,13 +268,15 @@ impl MaskModel {
             .iter_mut()
             .zip(table.window.chunks_exact(self.words_per_chunk))
         {
-            *n = popcount_words(chunk) as u16;
+            *n = std::array::from_fn(|l| {
+                chunk.iter().map(|w| w[l].count_ones()).sum::<u32>() as u16
+            });
         }
     }
 
-    /// Fills `table`'s join work from its loaded window — every (filter,
+    /// Fills `table`'s join rows from its loaded windows — every (filter,
     /// chunk) pair in one streaming pass over the filter masks — and
-    /// returns the position's total two-sided MACs.
+    /// returns the batch's total two-sided MACs.
     ///
     /// # Panics
     ///
@@ -239,12 +289,26 @@ impl MaskModel {
             "work table built for another layer"
         );
         let (window, joins) = (&table.window, &mut table.joins);
+        let filters = &self.filter_words;
+        let wpc = self.words_per_chunk;
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            // SAFETY: the CPU has the instruction `join_popcnt` is built for.
-            return unsafe { join_popcnt(window, &self.filter_words, joins, self.words_per_chunk) };
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx512bw") && has!("avx512vpopcntdq") && has!("popcnt") {
+                // SAFETY: the CPU has every feature `fill_avx512` enables
+                // (AVX-512 BW implies AVX-512 F and AVX2).
+                return unsafe { fill_avx512(window, filters, joins, wpc) };
+            }
+            if has!("avx2") && has!("popcnt") {
+                // SAFETY: the CPU has AVX2 and `popcnt`.
+                return unsafe { fill_avx2(window, filters, joins, wpc) };
+            }
+            if has!("popcnt") {
+                // SAFETY: the CPU has `popcnt`.
+                return unsafe { fill_popcnt(window, filters, joins, wpc) };
+            }
         }
-        join(window, &self.filter_words, joins, self.words_per_chunk)
+        fill(window, filters, joins, wpc)
     }
 
     /// Total two-sided MACs of the layer — the true sparse compute volume.
@@ -253,10 +317,10 @@ impl MaskModel {
     pub fn total_sparse_macs(&self) -> u64 {
         *self.total_macs_cache.get_or_init(|| {
             let mut table = self.work_table();
-            let (oh, ow) = (self.shape.out_height(), self.shape.out_width());
+            let positions = self.shape.out_height() * self.shape.out_width();
             let mut total = 0u64;
-            for p in 0..oh * ow {
-                self.load_window(p % oh, p / oh, &mut table);
+            for first in (0..positions).step_by(LANES) {
+                self.load_windows(first, &mut table);
                 total += self.fill_joins(&mut table);
             }
             total
@@ -297,69 +361,111 @@ impl MaskModel {
             filter_density_std: var.sqrt(),
         }
     }
-
-    /// Per-chunk filter-mask popcounts for filter `f` — GB-H's sort key and
-    /// the quantity Figure 14 plots.
-    pub fn filter_chunk_nnz(&self, f: usize) -> Vec<u32> {
-        let k = self.shape.kernel;
-        (0..self.chunks_per_window())
-            .map(|c| {
-                let (tap, sub) = (c / self.chunks_per_fiber, c % self.chunks_per_fiber);
-                let fbase = (f * k * k + tap) * self.words_per_fiber + sub * self.words_per_chunk;
-                popcount_words(&self.filter_words[fbase..fbase + self.words_per_chunk])
-            })
-            .collect()
-    }
 }
 
-/// The portable join: [`join_rows`] at the table's chunk width. Constant
-/// widths let the chunk loop unroll; each arm instantiates the same loop.
+/// The portable fill: [`fill_rows`] at the table's chunk width. Constant
+/// widths let the word loop unroll; each arm instantiates the same loop.
 #[inline(always)]
-fn join(window: &[u64], filter_words: &[u64], joins: &mut [u16], wpc: usize) -> u64 {
+fn fill(
+    window: &[[u64; LANES]],
+    filter_words: &[u64],
+    joins: &mut [[u16; LANES]],
+    wpc: usize,
+) -> u64 {
     match wpc {
-        1 => join_rows(window, filter_words, joins, 1),
-        2 => join_rows(window, filter_words, joins, 2),
-        4 => join_rows(window, filter_words, joins, 4),
-        wpc => join_rows(window, filter_words, joins, wpc),
+        1 => fill_rows(window, filter_words, joins, 1),
+        2 => fill_rows(window, filter_words, joins, 2),
+        4 => fill_rows(window, filter_words, joins, 4),
+        wpc => fill_rows(window, filter_words, joins, wpc),
     }
 }
 
-/// [`join`] compiled for the `popcnt` instruction. The workspace targets
+/// [`fill`] compiled for the `popcnt` instruction. The workspace targets
 /// baseline x86-64, where `count_ones` is a SWAR bit-twiddling sequence;
-/// [`MaskModel::fill_joins`] picks this copy when the CPU has `popcnt`.
+/// [`MaskModel::fill_joins`] picks the best copy the CPU runs.
 ///
 /// # Safety
 ///
 /// The CPU must have `popcnt`: callers check `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
-fn join_popcnt(window: &[u64], filter_words: &[u64], joins: &mut [u16], wpc: usize) -> u64 {
-    join(window, filter_words, joins, wpc)
+fn fill_popcnt(
+    window: &[[u64; LANES]],
+    filter_words: &[u64],
+    joins: &mut [[u16; LANES]],
+    wpc: usize,
+) -> u64 {
+    fill(window, filter_words, joins, wpc)
 }
 
-/// The join loop: `joins[f · chunks + c]` = popcount of window chunk `c`
-/// ANDed with filter `f`'s chunk `c`, for every filter. `filter_words` holds
-/// one window-sized row per filter in the window's own chunk order, so the
-/// loop streams both without index arithmetic. Returns the table's sum.
+/// [`fill`] compiled for AVX2: the lanes' ANDs and adds run four words to
+/// a register, and their popcounts on a byte lookup table.
+///
+/// # Safety
+///
+/// The CPU must have AVX2 and `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+fn fill_avx2(
+    window: &[[u64; LANES]],
+    filter_words: &[u64],
+    joins: &mut [[u16; LANES]],
+    wpc: usize,
+) -> u64 {
+    fill(window, filter_words, joins, wpc)
+}
+
+/// [`fill`] compiled for AVX-512 with VPOPCNTDQ: eight lanes' AND and
+/// popcount per instruction.
+///
+/// # Safety
+///
+/// The CPU must have AVX-512 BW and VPOPCNTDQ, and `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512bw,avx512vpopcntdq,popcnt")]
+fn fill_avx512(
+    window: &[[u64; LANES]],
+    filter_words: &[u64],
+    joins: &mut [[u16; LANES]],
+    wpc: usize,
+) -> u64 {
+    fill(window, filter_words, joins, wpc)
+}
+
+/// The fill loop: `joins[f · chunks + c][l]` = popcount of lane `l`'s
+/// window chunk `c` ANDed with filter `f`'s chunk `c`, for every filter.
+/// `filter_words` holds one window-sized row per filter in the window's
+/// own word order. Chunk-major, so each filter word is read once and
+/// ANDed with all sixteen lanes' words of the chunk, which stay in
+/// registers across the filters; a filter-major loop had the compiler
+/// vectorize across chunks with gathers instead. Returns the table's sum.
 #[inline(always)]
-fn join_rows(window: &[u64], filter_words: &[u64], joins: &mut [u16], wpc: usize) -> u64 {
-    let chunks = window.len() / wpc;
-    let mut total = 0u64;
-    for (row, out) in filter_words
-        .chunks_exact(window.len())
-        .zip(joins.chunks_exact_mut(chunks))
-    {
-        for ((w, f), o) in window
-            .chunks_exact(wpc)
-            .zip(row.chunks_exact(wpc))
-            .zip(out.iter_mut())
-        {
-            let n = and_popcount_words(w, f);
-            *o = n as u16;
-            total += n as u64;
+fn fill_rows(
+    window: &[[u64; LANES]],
+    filter_words: &[u64],
+    joins: &mut [[u16; LANES]],
+    wpc: usize,
+) -> u64 {
+    let words = window.len();
+    let chunks = words / wpc;
+    let mut total = [0u64; LANES];
+    for (c, lanes) in window.chunks_exact(wpc).enumerate() {
+        for f in 0..filter_words.len() / words {
+            let fw = &filter_words[f * words + c * wpc..][..wpc];
+            let mut n = [0u64; LANES];
+            for (lane_words, &fw) in lanes.iter().zip(fw) {
+                for l in 0..LANES {
+                    n[l] += (lane_words[l] & fw).count_ones() as u64;
+                }
+            }
+            let out = &mut joins[f * chunks + c];
+            for l in 0..LANES {
+                out[l] = n[l] as u16;
+                total[l] += n[l];
+            }
         }
     }
-    total
+    total.iter().sum()
 }
 
 #[cfg(test)]
@@ -372,10 +478,10 @@ mod tests {
         workload(&shape, 0.5, 0.4, 7)
     }
 
-    /// The work table at output `(ox, oy)`.
-    fn table_at(m: &MaskModel, ox: usize, oy: usize) -> WorkTable {
+    /// The work table of the batch that starts at position `first`.
+    fn table_at(m: &MaskModel, first: usize) -> WorkTable {
         let mut t = m.work_table();
-        m.load_window(ox, oy, &mut t);
+        m.load_windows(first, &mut t);
         m.fill_joins(&mut t);
         t
     }
@@ -392,7 +498,8 @@ mod tests {
     /// The work table against the functional engine's chunk joins at every
     /// (position, filter, chunk), padded borders included, across chunk
     /// sizes, strides and pads on a depth no chunk size divides. One table
-    /// is reused across positions, as the simulators reuse it.
+    /// is reused across batches, as the simulators reuse it, and the
+    /// planes' 12, 20, 30 and 63 positions end in a partial batch.
     #[test]
     fn chunk_work_matches_functional_chunks() {
         use sparten_core::chunking::{filter_to_chunks, linearize_window_padded};
@@ -411,11 +518,15 @@ mod tests {
                         .map(|f| filter_to_chunks(f, chunk_size))
                         .collect();
                     let mut t = m.work_table();
+                    let oh = shape.out_height();
+                    let positions = oh * shape.out_width();
                     let mut total = 0u64;
-                    for oy in 0..shape.out_width() {
-                        for ox in 0..shape.out_height() {
-                            m.load_window(ox, oy, &mut t);
-                            total += m.fill_joins(&mut t);
+                    for first in (0..positions).step_by(LANES) {
+                        m.load_windows(first, &mut t);
+                        total += m.fill_joins(&mut t);
+                        assert_eq!(t.positions(), first..positions.min(first + LANES));
+                        for (lane, p) in t.positions().enumerate() {
+                            let (ox, oy) = (p % oh, p / oh);
                             let win = linearize_window_padded(
                                 &w.input, ox, oy, 3, stride, pad, chunk_size,
                             );
@@ -424,14 +535,25 @@ mod tests {
                             let at =
                                 format!("chunk {chunk_size} stride {stride} pad {pad} ({ox},{oy})");
                             for (c, ic) in win.chunks().iter().enumerate() {
-                                assert_eq!(t.input(c) as usize, ic.nnz(), "input {at} chunk {c}");
+                                assert_eq!(
+                                    t.input(c, lane) as usize,
+                                    ic.nnz(),
+                                    "input {at} chunk {c}"
+                                );
                                 for (f, fc) in filters.iter().enumerate() {
                                     assert_eq!(
-                                        t.join(f, c) as usize,
+                                        t.join(f, c, lane) as usize,
                                         ic.join_work(&fc.chunks()[c]),
                                         "join {at} filter {f} chunk {c}"
                                     );
                                 }
+                            }
+                        }
+                        // Padding lanes hold no work.
+                        for lane in t.positions().len()..LANES {
+                            for c in 0..m.chunks_per_window() {
+                                assert_eq!(t.input(c, lane), 0);
+                                assert!((0..3).all(|f| t.join(f, c, lane) == 0));
                             }
                         }
                     }
@@ -445,10 +567,12 @@ mod tests {
     fn onesided_work_at_least_twosided() {
         let w = small_workload();
         let m = MaskModel::new(&w, 64);
-        let t = table_at(&m, 1, 1);
-        for f in 0..w.filters.len() {
-            for c in 0..m.chunks_per_window() {
-                assert!(t.input(c) >= t.join(f, c));
+        let t = table_at(&m, 0);
+        for lane in 0..LANES {
+            for f in 0..w.filters.len() {
+                for c in 0..m.chunks_per_window() {
+                    assert!(t.input(c, lane) >= t.join(f, c, lane));
+                }
             }
         }
     }
@@ -478,10 +602,11 @@ mod tests {
     fn out_of_bounds_taps_contribute_zero() {
         let w = small_workload();
         let m = MaskModel::new(&w, 64);
-        // Output (0,0) with pad 1: tap (0,0) reads input (-1,-1) → OOB.
-        let t = table_at(&m, 0, 0);
-        assert_eq!(t.input(0), 0);
-        assert!((0..w.filters.len()).all(|f| t.join(f, 0) == 0));
+        // Output (0,0), position 0, with pad 1: tap (0,0) reads input
+        // (-1,-1) → OOB.
+        let t = table_at(&m, 0);
+        assert_eq!(t.input(0, 0), 0);
+        assert!((0..w.filters.len()).all(|f| t.join(f, 0, 0) == 0));
     }
 
     #[test]
@@ -494,44 +619,52 @@ mod tests {
         assert!(m.total_sparse_macs() > 0);
     }
 
-    #[test]
-    fn filter_chunk_nnz_sums_to_filter_nnz() {
-        let w = small_workload();
-        let m = MaskModel::new(&w, 64);
-        for (f, filter) in w.filters.iter().enumerate() {
-            let per_chunk: u32 = m.filter_chunk_nnz(f).iter().sum();
-            assert_eq!(per_chunk as usize, filter.nnz());
-        }
-    }
-
-    /// The `popcnt` copy of the join fills the same tables and totals as
-    /// the portable loop at 1–4 words per chunk: the three constant arms
-    /// and the generic one.
+    /// Every copy of the fill the CPU runs fills the same tables and
+    /// totals as the portable loop, at 1, 2, 4 and 8 words per chunk (the
+    /// three constant arms and the generic one), on a 5 × 6 plane: one
+    /// full batch and a partial one of 14 positions.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn popcnt_join_matches_portable_join() {
-        if !std::arch::is_x86_feature_detected!("popcnt") {
-            return; // the portable loop is the only path on this CPU
-        }
-        for wpc in 1..=4 {
+    fn fill_kernels_match_portable_fill() {
+        use std::arch::is_x86_feature_detected as has;
+        type Kernel = fn(&[[u64; LANES]], &[u64], &mut [[u16; LANES]], usize) -> u64;
+        // SAFETY (each copy): only run when the CPU has its instructions.
+        let kernels: [(&str, bool, Kernel); 3] = [
+            ("popcnt", has!("popcnt"), |w, f, j, n| unsafe {
+                fill_popcnt(w, f, j, n)
+            }),
+            (
+                "avx2",
+                has!("avx2") && has!("popcnt"),
+                |w, f, j, n| unsafe { fill_avx2(w, f, j, n) },
+            ),
+            (
+                "avx512",
+                has!("avx512bw") && has!("avx512vpopcntdq") && has!("popcnt"),
+                |w, f, j, n| unsafe { fill_avx512(w, f, j, n) },
+            ),
+        ];
+        for wpc in [1, 2, 4, 8] {
             for density in [0.5, 1.0] {
                 let shape = ConvShape::new(300, 5, 6, 3, 7, 1, 1);
                 let w = workload(&shape, density, density, 40 + wpc as u64);
                 let m = MaskModel::new(&w, 64 * wpc);
-                let (mut portable, mut fast) = (m.work_table(), m.work_table());
-                let oh = shape.out_height();
-                for p in 0..oh * shape.out_width() {
-                    m.load_window(p % oh, p / oh, &mut portable);
-                    m.load_window(p % oh, p / oh, &mut fast);
-                    let total = join(&portable.window, &m.filter_words, &mut portable.joins, wpc);
-                    // SAFETY: the CPU has `popcnt` (checked above).
-                    let fast_total =
-                        unsafe { join_popcnt(&fast.window, &m.filter_words, &mut fast.joins, wpc) };
-                    assert_eq!(
-                        fast_total, total,
-                        "{wpc} words, density {density}, position {p}"
-                    );
-                    assert_eq!(fast.joins, portable.joins, "{wpc} words, density {density}");
+                let mut portable = m.work_table();
+                let positions = shape.out_height() * shape.out_width();
+                for first in (0..positions).step_by(LANES) {
+                    m.load_windows(first, &mut portable);
+                    let total = fill(&portable.window, &m.filter_words, &mut portable.joins, wpc);
+                    for (name, _, kernel) in kernels.iter().filter(|k| k.1) {
+                        let mut fast = portable.clone();
+                        fast.joins.iter_mut().for_each(|r| *r = [u16::MAX; LANES]);
+                        let last = fast.joins.len() - 1;
+                        fast.joins[last] = [0; LANES];
+                        let fast_total =
+                            kernel(&fast.window, &m.filter_words, &mut fast.joins, wpc);
+                        let at = format!("{name}: {wpc} words, density {density}, batch {first}");
+                        assert_eq!(fast_total, total, "{at}");
+                        assert_eq!(fast.joins, portable.joins, "{at}");
+                    }
                 }
             }
         }

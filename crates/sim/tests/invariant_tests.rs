@@ -41,7 +41,7 @@ use sparten_sim::cambricon::simulate_cambricon;
 use sparten_sim::scnn::{simulate_scnn, tiles, ScnnVariant};
 use sparten_sim::{
     simulate_buffered, simulate_layer, simulate_layer_telemetry, simulate_schemes, Breakdown,
-    BufferDepth, MaskModel, OpCounts, Scheme, SimConfig, SimResult,
+    BufferDepth, MaskModel, OpCounts, Scheme, SimConfig, SimResult, WorkTable,
 };
 use sparten_telemetry::{chrome_trace, Histogram, StallCause, Telemetry};
 use sparten_tensor::{Rng64, SparseVector};
@@ -99,12 +99,17 @@ fn fast_join_mac_count_equals_dense_reference() {
             .map(|f| filter_to_chunks(f, chunk_size))
             .collect();
         let mut table = model.work_table();
-        // Sample a few output positions rather than the full plane.
+        let oh = shape.out_height();
+        // Sample a few output positions rather than the full plane, each
+        // from a batch that starts up to 15 positions before it.
         for _ in 0..3 {
-            let ox = rng.gen_range_usize(0, shape.out_height());
+            let ox = rng.gen_range_usize(0, oh);
             let oy = rng.gen_range_usize(0, shape.out_width());
-            model.load_window(ox, oy, &mut table);
+            let p = ox + oh * oy;
+            model.load_windows(p.saturating_sub(rng.gen_range_usize(0, 16)), &mut table);
             model.fill_joins(&mut table);
+            assert!(table.positions().contains(&p));
+            let lane = p - table.positions().start;
             let win = linearize_window_padded(
                 &w.input,
                 ox,
@@ -124,7 +129,7 @@ fn fast_join_mac_count_equals_dense_reference() {
                 let expect = dense_reference_macs(&w, ox, oy, f);
                 assert_eq!(join_macs, expect, "fast_join vs dense reference");
                 let window_work: u32 = (0..model.chunks_per_window())
-                    .map(|c| table.join(f, c))
+                    .map(|c| table.join(f, c, lane))
                     .sum();
                 assert_eq!(
                     window_work as usize, expect,
@@ -241,6 +246,16 @@ fn one_pass_matches_per_scheme_simulation() {
     }
 }
 
+/// Makes `table` hold output position `p`, loading and filling the batch
+/// that starts there if it does not, and returns `p`'s lane.
+fn lane_of(model: &MaskModel, table: &mut WorkTable, p: usize) -> usize {
+    if !table.positions().contains(&p) {
+        model.load_windows(p, table);
+        model.fill_joins(table);
+    }
+    p - table.positions().start
+}
+
 /// The bounded-buffer simulator as a stand-alone loop, before buffer depth
 /// became a timing rule of the SparTen pass: per cluster and filter group,
 /// each unit's completion time and a ring of the last `B` items'
@@ -275,8 +290,7 @@ fn reference_buffered(
         let mut unit_time = vec![vec![0u64; units]; balance.groups.len()];
         let mut done_ring = vec![vec![0u64; ring]; balance.groups.len()];
         for (n, p) in (lo..hi).enumerate() {
-            model.load_window(p % oh, p / oh, &mut table);
-            model.fill_joins(&mut table);
+            let lane = lane_of(model, &mut table, p);
             for (g, group) in balance.groups.iter().enumerate() {
                 for c in 0..chunks {
                     let item = n * chunks + c;
@@ -291,7 +305,7 @@ fn reference_buffered(
                     };
                     let mut item_done = 0u64;
                     for (u, slots) in per_unit.iter().enumerate().take(units) {
-                        let w: u64 = slots.iter().map(|&f| table.join(f, c) as u64).sum();
+                        let w: u64 = slots.iter().map(|&f| table.join(f, c, lane) as u64).sum();
                         useful += w;
                         let t = &mut unit_time[g][u];
                         *t = (*t).max(issue) + w + 1;

@@ -117,7 +117,9 @@ cargo test -q --release -p sparten-model
 echo "== simulator sweeps (release: exhaustive case counts) =="
 # The sim crate's seeded sweeps at their full size: 60 layers of the
 # cross-simulator accounting identity, 40 of one pass vs one scheme at a
-# time, 60 of every buffer depth vs the stand-alone reference loop, 240
+# time, 240 of the batched SparTen pass vs its per-position reference
+# loop (every run's result, traced telemetry, slow and stuck units; about
+# 0.8 s), 60 of every buffer depth vs the stand-alone reference loop, 240
 # of SCNN's factored timing vs its step loop, and 48 layer shapes (a
 # varied and an all-tie filter set each) of GB-H's count key vs the
 # density sort.
