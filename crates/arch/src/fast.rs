@@ -7,61 +7,31 @@
 //! AlexNet/VGG scale. This module provides software-speed equivalents that
 //! operate on the mask's packed `u64` words:
 //!
-//! * [`exclusive_offsets`] / [`inclusive_prefix`] — prefix popcounts from
-//!   running per-word `count_ones`, replacing a structural prefix network;
-//! * [`FastJoin`] / [`fast_join`] — the inner join walked with
-//!   `trailing_zeros` over the ANDed words, replacing the structural
-//!   priority-encoder reduction tree per step;
-//! * [`join_eval`] — the fused dot-product + MAC-count the engine uses;
+//! * [`exclusive_offsets`] — prefix popcounts from running per-word
+//!   `count_ones`, replacing a structural prefix network;
+//! * [`join_eval`] — the inner join walked with `trailing_zeros` over the
+//!   ANDed words, replacing the structural priority-encoder reduction tree
+//!   per step, fused into the dot product + MAC count the engine uses;
+//! * [`popcount_words`] — the set bits of a mask's words;
 //! * [`compact_values`] — single-pass output compaction.
 //!
 //! Every kernel is *defined* to be bit-identical to its structural
-//! counterpart: [`fast_join`] yields the same [`JoinStep`] sequence and the
-//! same f32 accumulator as [`crate::InnerJoinSequencer`] (same walk order,
-//! same accumulation order), and the prefix kernels equal
-//! [`crate::prefix::reference_prefix_sums`] and every structural circuit.
-//! The structural models remain the hardware-faithful oracle; the
-//! differential suite in `tests/differential_tests.rs` enforces the
-//! equivalence on random, degenerate, and word-boundary masks.
+//! counterpart: [`join_eval`] returns the same f32 accumulator and MAC
+//! count as [`crate::InnerJoinSequencer`] (same walk order, same
+//! accumulation order), [`exclusive_offsets`] equals
+//! [`crate::prefix::exclusive_from_inclusive`] applied to every structural
+//! circuit's sums, and [`compact_values`] builds the same chunk as
+//! [`crate::OutputCompactor`]. The structural models remain the
+//! hardware-faithful oracle; the differential suite in
+//! `tests/differential_tests.rs` enforces the equivalence on random,
+//! degenerate, and word-boundary masks.
 
-use crate::join::JoinStep;
-use sparten_tensor::{SparseChunk, SparseMap, TensorError};
+use sparten_tensor::{SparseChunk, SparseMap};
 
 /// Total popcount of a word slice.
 #[inline]
 pub fn popcount_words(words: &[u64]) -> u32 {
     words.iter().map(|w| w.count_ones()).sum()
-}
-
-/// Popcount of the pairwise AND of two word slices — the join work of two
-/// masks, without materializing the joined mask.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u32 {
-    assert_eq!(a.len(), b.len(), "word slice length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
-}
-
-/// Inclusive prefix popcount (`out[i]` = ones in `bits[0..=i]`), equal to
-/// [`crate::prefix::PrefixCircuit::prefix_sums`] of every structural
-/// circuit but computed by scanning words instead of evaluating adder
-/// nodes.
-pub fn inclusive_prefix(bits: &SparseMap) -> Vec<u32> {
-    let mut out = Vec::with_capacity(bits.len());
-    let mut acc = 0u32;
-    for (wi, &word) in bits.as_words().iter().enumerate() {
-        let n = (bits.len() - wi * 64).min(64);
-        let mut w = word;
-        for _ in 0..n {
-            acc += (w & 1) as u32;
-            out.push(acc);
-            w >>= 1;
-        }
-    }
-    out
 }
 
 /// Exclusive prefix popcount (`out[i]` = ones strictly before `i`) — the
@@ -83,158 +53,11 @@ pub fn exclusive_offsets(bits: &SparseMap) -> Vec<u32> {
     out
 }
 
-/// Word-parallel inner join: the fast path equivalent of
-/// [`crate::InnerJoinSequencer`].
-///
-/// Yields the identical [`JoinStep`] sequence (same positions, offsets, and
-/// products, walked top-to-bottom) and accumulates products in the same
-/// order, so the final accumulator is bit-identical. Instead of a
-/// structural priority-encoder reduction per step, it keeps the ANDed masks
-/// as `u64` words and finds each match with `trailing_zeros`; instead of a
-/// prefix network, each offset is a masked popcount on top of a running
-/// per-word base count.
-///
-/// # Example
-///
-/// ```
-/// use sparten_arch::fast::fast_join;
-/// use sparten_tensor::SparseChunk;
-///
-/// let a = SparseChunk::from_dense(&[0.0, 2.0, 0.0, 3.0]);
-/// let b = SparseChunk::from_dense(&[1.0, 4.0, 5.0, 3.0]);
-/// let mut join = fast_join(&a, &b);
-/// let steps: Vec<_> = join.by_ref().collect();
-/// assert_eq!(steps.len(), 2);              // positions 1 and 3 match
-/// assert_eq!(join.accumulator(), 2.0 * 4.0 + 3.0 * 3.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FastJoin<'a> {
-    a: &'a SparseChunk,
-    b: &'a SparseChunk,
-    /// ANDed mask words; consumed matches are cleared, and every word
-    /// before `word` is fully consumed (zero).
-    and_words: Vec<u64>,
-    /// Current word index.
-    word: usize,
-    /// Popcount of `a`'s mask strictly before word `word`.
-    base_a: u32,
-    /// Popcount of `b`'s mask strictly before word `word`.
-    base_b: u32,
-    accumulator: f32,
-    steps_taken: usize,
-}
-
-/// Sets up the word-parallel join of two chunks.
-///
-/// # Panics
-///
-/// Panics if the chunks differ in length or are zero-length (mirroring
-/// [`crate::InnerJoinSequencer::new`]); use [`try_fast_join`] for the
-/// fallible path.
-pub fn fast_join<'a>(a: &'a SparseChunk, b: &'a SparseChunk) -> FastJoin<'a> {
-    assert_eq!(a.len(), b.len(), "chunk length mismatch");
-    assert!(!a.is_empty(), "inner join requires positive-width chunks");
-    FastJoin::build(a, b)
-}
-
-/// Fallible [`fast_join`]: rejects zero-length and mismatched chunks with a
-/// typed [`TensorError`] instead of a panic.
-pub fn try_fast_join<'a>(
-    a: &'a SparseChunk,
-    b: &'a SparseChunk,
-) -> Result<FastJoin<'a>, TensorError> {
-    if a.len() != b.len() {
-        return Err(TensorError::JoinWidthMismatch {
-            a: a.len(),
-            b: b.len(),
-        });
-    }
-    if a.is_empty() {
-        return Err(TensorError::EmptyChunk);
-    }
-    Ok(FastJoin::build(a, b))
-}
-
-impl<'a> FastJoin<'a> {
-    fn build(a: &'a SparseChunk, b: &'a SparseChunk) -> Self {
-        let and_words: Vec<u64> = a
-            .mask()
-            .as_words()
-            .iter()
-            .zip(b.mask().as_words())
-            .map(|(x, y)| x & y)
-            .collect();
-        FastJoin {
-            a,
-            b,
-            and_words,
-            word: 0,
-            base_a: 0,
-            base_b: 0,
-            accumulator: 0.0,
-            steps_taken: 0,
-        }
-    }
-
-    /// The running partial sum.
-    pub fn accumulator(&self) -> f32 {
-        self.accumulator
-    }
-
-    /// Multiply-accumulates performed so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps_taken
-    }
-
-    /// Matches still pending.
-    pub fn remaining(&self) -> usize {
-        popcount_words(&self.and_words[self.word.min(self.and_words.len())..]) as usize
-    }
-
-    /// Runs the join to completion and returns the dot product.
-    pub fn run(mut self) -> f32 {
-        for _ in self.by_ref() {}
-        self.accumulator
-    }
-}
-
-impl Iterator for FastJoin<'_> {
-    type Item = JoinStep;
-
-    fn next(&mut self) -> Option<JoinStep> {
-        // Skip fully-consumed words, accumulating each operand's popcount
-        // so in-word offsets stay exclusive prefix counts.
-        while self.word < self.and_words.len() && self.and_words[self.word] == 0 {
-            self.base_a += self.a.mask().word(self.word).count_ones();
-            self.base_b += self.b.mask().word(self.word).count_ones();
-            self.word += 1;
-        }
-        if self.word >= self.and_words.len() {
-            return None;
-        }
-        let w = self.and_words[self.word];
-        let bit = w.trailing_zeros();
-        self.and_words[self.word] = w & (w - 1); // clear the consumed match
-        let below = (1u64 << bit) - 1;
-        let offset_a = (self.base_a + (self.a.mask().word(self.word) & below).count_ones()) as usize;
-        let offset_b = (self.base_b + (self.b.mask().word(self.word) & below).count_ones()) as usize;
-        let product = self.a.values()[offset_a] * self.b.values()[offset_b];
-        self.accumulator += product;
-        self.steps_taken += 1;
-        Some(JoinStep {
-            position: self.word * 64 + bit as usize,
-            offset_a,
-            offset_b,
-            product,
-        })
-    }
-}
-
 /// Fused inner-join evaluation: the chunk dot product and the MAC count in
 /// one pass over the ANDed words. The accumulation order is ascending
-/// position — identical to [`SparseChunk::dot`], [`fast_join`], and
+/// position — identical to [`SparseChunk::dot`] and
 /// [`crate::InnerJoinSequencer`] — so the returned f32 is bit-identical to
-/// all three.
+/// both.
 ///
 /// # Panics
 ///
@@ -290,7 +113,6 @@ pub fn compact_values(values: &[f32]) -> SparseChunk {
 mod tests {
     use super::*;
     use crate::compact::OutputCompactor;
-    use crate::join::InnerJoinSequencer;
     use sparten_tensor::Rng64;
 
     fn random_chunk(rng: &mut Rng64, len: usize, density: f64) -> SparseChunk {
@@ -307,27 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_join_matches_sequencer_on_example() {
-        let a = SparseChunk::from_dense(&[0.0, 1.0, 2.0, 0.0, 4.0, 0.0, 6.0, 7.0]);
-        let b = SparseChunk::from_dense(&[1.0, 0.0, 3.0, 0.0, 5.0, 5.0, 0.0, 2.0]);
-        let fast: Vec<JoinStep> = fast_join(&a, &b).collect();
-        let slow: Vec<JoinStep> = InnerJoinSequencer::new(&a, &b).collect();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn fast_join_tracks_progress_counters() {
-        let a = SparseChunk::from_dense(&[1.0, 1.0, 0.0, 1.0, 0.0]);
-        let b = SparseChunk::from_dense(&[1.0, 0.0, 1.0, 1.0, 0.0]);
-        let mut join = fast_join(&a, &b);
-        assert_eq!(join.remaining(), 2);
-        let n = join.by_ref().count();
-        assert_eq!(n, a.join_work(&b));
-        assert_eq!(join.steps_taken(), n);
-        assert_eq!(join.remaining(), 0);
-    }
-
-    #[test]
     fn join_eval_matches_dot_and_join_work() {
         let mut rng = Rng64::seed_from_u64(11);
         for _ in 0..50 {
@@ -338,25 +139,6 @@ mod tests {
             assert_eq!(dot.to_bits(), a.dot(&b).to_bits());
             assert_eq!(macs, a.join_work(&b));
         }
-    }
-
-    #[test]
-    fn try_fast_join_rejects_zero_length() {
-        let empty = SparseChunk::from_dense(&[]);
-        assert_eq!(
-            try_fast_join(&empty, &empty).err(),
-            Some(TensorError::EmptyChunk)
-        );
-    }
-
-    #[test]
-    fn try_fast_join_rejects_width_mismatch() {
-        let a = SparseChunk::from_dense(&[1.0]);
-        let b = SparseChunk::from_dense(&[1.0, 2.0]);
-        assert_eq!(
-            try_fast_join(&a, &b).err(),
-            Some(TensorError::JoinWidthMismatch { a: 1, b: 2 })
-        );
     }
 
     #[test]
@@ -382,14 +164,9 @@ mod tests {
     fn word_popcounts_match_mask_counts() {
         let mut rng = Rng64::seed_from_u64(9);
         let a = random_chunk(&mut rng, 150, 0.5);
-        let b = random_chunk(&mut rng, 150, 0.5);
         assert_eq!(
             popcount_words(a.mask().as_words()) as usize,
             a.mask().count_ones()
-        );
-        assert_eq!(
-            and_popcount_words(a.mask().as_words(), b.mask().as_words()) as usize,
-            a.join_work(&b)
         );
     }
 }

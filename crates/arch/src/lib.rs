@@ -33,7 +33,7 @@ pub mod prefix;
 pub use benes::BenesNetwork;
 pub use compact::OutputCompactor;
 pub use encoder::PriorityEncoder;
-pub use fast::{compact_values, fast_join, join_eval, try_fast_join, FastJoin};
+pub use fast::{compact_values, join_eval};
 pub use join::{InnerJoinSequencer, JoinStep};
 pub use permute::{PermutationNetwork, RouteStats};
 pub use pipeline::JoinPipeline;

@@ -6,8 +6,11 @@
 //! accumulate; with one pipeline register per stage the unit retires one
 //! match per cycle after the pipe fills. This model computes a chunk's
 //! cycle count from the circuit depths, quantifying (a) the fill/drain cost
-//! the simulators fold into their one-cycle chunk overhead and (b) why the
-//! 800 MHz clock (Table 4) is achievable: every stage is log-depth.
+//! a chunk pays if the pipe drains at every chunk barrier — a cost the
+//! cycle-level simulators do not charge: their one-cycle chunk overhead
+//! (`sparten_sim::sparten::CHUNK_OVERHEAD`) is a modelling assumption that
+//! the fill stays hidden — and (b) why the 800 MHz clock (Table 4) is
+//! achievable: every stage is log-depth.
 
 use crate::encoder::PriorityEncoder;
 use crate::prefix::{PrefixCircuit, Sklansky};
@@ -50,8 +53,8 @@ impl JoinPipeline {
         }
     }
 
-    /// Effective per-chunk overhead beyond one cycle per match — what the
-    /// cycle-level simulators approximate with their constant.
+    /// Effective per-chunk overhead beyond one cycle per match when the pipe
+    /// drains at the chunk barrier.
     pub fn overhead_cycles(&self, matches: usize) -> usize {
         self.chunk_cycles(matches) - matches
     }

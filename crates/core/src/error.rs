@@ -1,5 +1,5 @@
 //! Typed errors for the accelerator model: the `SimError` plumbed from
-//! the functional engine and controller up through the cycle simulators.
+//! the functional engine up through the cycle simulators.
 //!
 //! Before fault injection existed, every violated invariant was an
 //! `assert!`/`panic!` that killed the point. `SimError` makes those

@@ -15,10 +15,7 @@
 //!   padded to the 128-wide chunk, §3.1);
 //! * [`engine`] — the functional cluster engine: compute units running the
 //!   inner-join sequencer, the output collector, and GB-H partial-sum
-//!   routing, producing exact layer outputs plus per-unit work traces;
-//! * [`blas`] — the BLAS-like `C ← A·x + y` interface the accelerator
-//!   exposes on the CPU-memory bus (§3.2), with incremental vector
-//!   construction.
+//!   routing, producing exact layer outputs plus per-unit work traces.
 //!
 //! The engine is the correctness oracle: integration tests check it against
 //! `sparten-nn`'s dense reference convolution for every balance mode and
@@ -26,23 +23,15 @@
 //! fast work model against the engine's traces.
 
 pub mod balance;
-pub mod blas;
 pub mod chunking;
 pub mod column_combine;
 pub mod config;
-pub mod controller;
 pub mod engine;
 pub mod error;
-pub mod memory;
-pub mod multilayer;
 
 pub use balance::{BalanceMode, GroupAssignment, LayerBalance};
-pub use blas::{SparseMatrix, VectorBuilder};
 pub use chunking::{linearize_filter_padded, linearize_window_padded, padded_fiber_len};
 pub use column_combine::{combine_columns, CombineReport, CombinedColumn};
 pub use config::{AcceleratorConfig, ClusterConfig};
-pub use controller::{command_stream, run_via_commands, Command, ControllerStats};
 pub use engine::{LayerRun, SparTenEngine, WorkTrace};
 pub use error::SimError;
-pub use memory::{MemoryReport, OutputMemory};
-pub use multilayer::{PipelineStats, SparseNetwork, Stage};

@@ -112,31 +112,6 @@ pub fn workload(shape: &ConvShape, input_density: f64, filter_density: f64, seed
     }
 }
 
-/// Generates a mini-batch of workloads sharing one filter set (filters are
-/// stationary across the batch — §3.3's premise) with per-image inputs.
-pub fn workload_batch(
-    shape: &ConvShape,
-    input_density: f64,
-    filter_density: f64,
-    seed: u64,
-    batch: usize,
-) -> Vec<Workload> {
-    let filters = random_filters(shape, filter_density, 0.5, seed.wrapping_add(1));
-    (0..batch)
-        .map(|i| Workload {
-            input: random_tensor(
-                shape.in_channels,
-                shape.in_height,
-                shape.in_width,
-                input_density,
-                seed.wrapping_add(1000 + i as u64),
-            ),
-            filters: filters.clone(),
-            shape: *shape,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,30 +19,20 @@
 //! * [`networks`] — the paper's Table 3 benchmark layers.
 
 pub mod conv;
-pub mod fc;
 pub mod filter;
 pub mod generate;
-pub mod inception;
-pub mod io;
-pub mod lstm;
 pub mod networks;
 pub mod pruning;
 pub mod quant;
 pub mod shape;
-pub mod stats;
 pub mod structured;
 
 pub use conv::{conv2d, conv2d_direct, im2col, max_pool};
 pub use sparten_tensor::{prng, Rng64};
-pub use fc::{FcLayer, Mlp};
 pub use filter::Filter;
 pub use generate::{random_filters, random_tensor, workload, Workload};
-pub use inception::{inception_3a, InceptionModule};
-pub use io::{load_workload, save_workload};
-pub use lstm::{LstmCell, LstmState};
 pub use networks::{alexnet, all_networks, googlenet, vggnet, LayerSpec, Network};
 pub use pruning::{prune_to_density, PruneReport};
 pub use quant::QuantTensor;
 pub use shape::ConvShape;
-pub use stats::{reduction_factors, DensityHistogram, Summary};
 pub use structured::{prune_coarse, CoarsePruneReport};

@@ -58,29 +58,6 @@ impl QuantTensor {
         }
     }
 
-    /// Builds a quantized tensor from raw parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value count does not match the shape or `scale ≤ 0`.
-    pub fn from_parts(
-        values: Vec<i8>,
-        scale: f32,
-        channels: usize,
-        height: usize,
-        width: usize,
-    ) -> Self {
-        assert_eq!(values.len(), channels * height * width, "shape mismatch");
-        assert!(scale > 0.0, "scale must be positive");
-        QuantTensor {
-            values,
-            scale,
-            channels,
-            height,
-            width,
-        }
-    }
-
     /// The quantized values (Z-first, like [`Tensor3`]).
     pub fn values(&self) -> &[i8] {
         &self.values
@@ -111,63 +88,6 @@ impl QuantTensor {
     pub fn error_bound(&self) -> f32 {
         self.scale
     }
-}
-
-/// Integer convolution: the datapath the 8-bit hardware actually runs.
-///
-/// Inputs and weights are `i8`; products accumulate in `i32` (wide
-/// accumulators, no overflow for realistic window sizes); the result is
-/// rescaled by the two quantization scales. This is the exact arithmetic
-/// an 8-bit MAC array performs, so float-vs-int drift bounds the
-/// quantization noise the accelerator introduces.
-///
-/// Returns the output in float after rescaling.
-///
-/// # Panics
-///
-/// Panics if shapes disagree with `shape` or any filter's scale differs
-/// (per-tensor weight quantization shares one scale).
-pub fn conv2d_quantized(
-    input: &QuantTensor,
-    filters: &[QuantTensor],
-    weight_scale: f32,
-    shape: &crate::shape::ConvShape,
-) -> Tensor3 {
-    assert_eq!(filters.len(), shape.num_filters, "filter count mismatch");
-    let d = shape.in_channels;
-    let k = shape.kernel;
-    let (oh, ow) = (shape.out_height(), shape.out_width());
-    let mut out = Tensor3::zeros(shape.num_filters, oh, ow);
-    let rescale = input.scale() * weight_scale;
-    for (f, filter) in filters.iter().enumerate() {
-        assert_eq!(filter.values().len(), d * k * k, "filter shape mismatch");
-        for oy in 0..ow {
-            for ox in 0..oh {
-                let mut acc: i32 = 0;
-                for fy in 0..k {
-                    for fx in 0..k {
-                        let ix = (ox * shape.stride + fx) as isize - shape.pad as isize;
-                        let iy = (oy * shape.stride + fy) as isize - shape.pad as isize;
-                        if ix < 0
-                            || iy < 0
-                            || ix as usize >= shape.in_height
-                            || iy as usize >= shape.in_width
-                        {
-                            continue;
-                        }
-                        let ibase = d * (ix as usize + shape.in_height * iy as usize);
-                        let fbase = d * (fx + shape.kernel * fy);
-                        for z in 0..d {
-                            acc += input.values()[ibase + z] as i32
-                                * filter.values()[fbase + z] as i32;
-                        }
-                    }
-                }
-                out.set(f, ox, oy, acc as f32 * rescale);
-            }
-        }
-    }
-    out
 }
 
 /// Maximum absolute dequantization error against the original tensor.
@@ -223,72 +143,6 @@ mod tests {
         let t = Tensor3::from_vec(vec![100.0, 0.001, -0.001, 0.0], 1, 2, 2);
         let q = QuantTensor::quantize(&t);
         assert_eq!(q.nnz(), 3);
-    }
-
-    #[test]
-    fn integer_conv_matches_dequantized_float_conv_exactly() {
-        use crate::conv::conv2d;
-        use crate::filter::Filter;
-        use crate::generate::workload;
-        use crate::shape::ConvShape;
-        let shape = ConvShape::new(6, 7, 7, 3, 4, 1, 1);
-        let w = workload(&shape, 0.5, 0.5, 17);
-        let qi = QuantTensor::quantize(&w.input);
-
-        // One shared weight scale across all filters (per-tensor weights).
-        let wmax = w
-            .filters
-            .iter()
-            .flat_map(|f| f.weights().as_slice())
-            .fold(0.0f32, |a, &v| a.max(v.abs()));
-        let wscale = wmax / 127.0;
-        let per = 6 * 9;
-        let qfilters: Vec<QuantTensor> = w
-            .filters
-            .iter()
-            .map(|f| {
-                let mut vals = Vec::with_capacity(per);
-                for fy in 0..3 {
-                    for fx in 0..3 {
-                        for &v in f.weights().fiber(fx, fy) {
-                            vals.push((v / wscale).round().clamp(-127.0, 127.0) as i8);
-                        }
-                    }
-                }
-                QuantTensor::from_parts(vals, wscale, per, 1, 1)
-            })
-            .collect();
-
-        // The float reference on the *dequantized* grid values.
-        let deq_input = qi.dequantize();
-        let deq_filters: Vec<Filter> = qfilters
-            .iter()
-            .map(|qf| {
-                let mut t = Tensor3::zeros(6, 3, 3);
-                for fy in 0..3 {
-                    for fx in 0..3 {
-                        for z in 0..6 {
-                            let idx = 6 * (fx + 3 * fy) + z;
-                            t.set(z, fx, fy, qf.values()[idx] as f32 * wscale);
-                        }
-                    }
-                }
-                Filter::new(t)
-            })
-            .collect();
-        let float_ref = conv2d(&deq_input, &deq_filters, &shape);
-        let int_out = conv2d_quantized(&qi, &qfilters, wscale, &shape);
-        // Same grid values → only float summation rounding differs.
-        let max_ref = float_ref
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |a, &v| a.max(v.abs()));
-        for (a, b) in int_out.as_slice().iter().zip(float_ref.as_slice()) {
-            assert!(
-                (a - b).abs() <= 1e-3 * max_ref.max(1.0),
-                "int {a} vs float {b}"
-            );
-        }
     }
 
     #[test]

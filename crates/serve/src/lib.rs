@@ -23,7 +23,7 @@
 //!   follower alike.
 //! * **Graceful drain** — on shutdown the server stops accepting,
 //!   finishes every in-flight and queued session, and reports a
-//!   [`DrainReport`](server::DrainReport) the harness turns into a
+//!   [`DrainReport`] the harness turns into a
 //!   journaled exit 75 (the same crash-only contract as `harness run`).
 //!
 //! The crate is deliberately ignorant of experiments, caches, and

@@ -50,8 +50,8 @@ pub use config::{MemoryConfig, ScnnConfig, SimConfig};
 pub use goals::{design_goal_table, DesignGoals};
 pub use probe::{reconcile_and_merge, Probe, StallTally};
 pub use runner::{
-    simulate_layer, simulate_layer_telemetry, simulate_schemes, simulate_spec,
-    simulate_spec_batch, try_simulate_layer, BatchResult, Scheme,
+    simulate_layer, simulate_layer_telemetry, simulate_schemes, simulate_spec, try_simulate_layer,
+    Scheme,
 };
 pub use scnn_engine::{scnn_cartesian_conv, CartesianStats};
 pub use sparten::{simulate_buffered, BufferDepth};

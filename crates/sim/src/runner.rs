@@ -222,56 +222,6 @@ pub fn simulate_spec(spec: &LayerSpec, config: &SimConfig, scheme: Scheme, seed:
     simulate_layer(&workload, &model, config, scheme)
 }
 
-/// A mini-batch simulation: one result per image, filters held stationary
-/// across the batch (§4 uses batch 16).
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    /// Per-image results in batch order.
-    pub images: Vec<SimResult>,
-}
-
-impl BatchResult {
-    /// Total execution cycles across the batch (images run back to back;
-    /// filters stay resident, so only per-image compute/memory repeats).
-    pub fn total_cycles(&self) -> u64 {
-        self.images.iter().map(SimResult::cycles).sum()
-    }
-
-    /// Relative spread of per-image cycles — how much input-sparsity
-    /// variation moves the layer's runtime across a batch.
-    pub fn cycle_spread(&self) -> f64 {
-        let cycles: Vec<u64> = self.images.iter().map(SimResult::cycles).collect();
-        let min = *cycles.iter().min().expect("non-empty batch") as f64;
-        let max = *cycles.iter().max().expect("non-empty batch") as f64;
-        (max - min) / max
-    }
-}
-
-/// Simulates a whole mini-batch of a Table 3 layer: one filter set, `batch`
-/// independent inputs at the layer's density.
-pub fn simulate_spec_batch(
-    spec: &LayerSpec,
-    config: &SimConfig,
-    scheme: Scheme,
-    seed: u64,
-    batch: usize,
-) -> BatchResult {
-    let images = sparten_nn::generate::workload_batch(
-        &spec.shape,
-        spec.input_density,
-        spec.filter_density,
-        seed,
-        batch,
-    )
-    .iter()
-    .map(|w| {
-        let model = MaskModel::new(w, config.accel.cluster.chunk_size);
-        simulate_layer(w, &model, config, scheme)
-    })
-    .collect();
-    BatchResult { images }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,25 +255,6 @@ mod tests {
         assert!(cycles(Scheme::OneSided) < cycles(Scheme::Dense));
         assert!(cycles(Scheme::Scnn) < cycles(Scheme::ScnnOneSided));
         assert!(cycles(Scheme::ScnnOneSided) < cycles(Scheme::ScnnDense));
-    }
-
-    #[test]
-    fn batch_simulation_varies_per_image() {
-        let spec = sparten_nn::LayerSpec {
-            name: "test",
-            shape: ConvShape::new(48, 6, 6, 3, 8, 1, 1),
-            input_density: 0.3,
-            filter_density: 0.35,
-        };
-        let mut cfg = SimConfig::small();
-        cfg.accel.num_clusters = 2;
-        cfg.accel.cluster.compute_units = 4;
-        let b = simulate_spec_batch(&spec, &cfg, Scheme::SpartenGbH, 7, 4);
-        assert_eq!(b.images.len(), 4);
-        assert!(b.total_cycles() > b.images[0].cycles());
-        // Input sparsity varies per image, so cycles should too (a little).
-        assert!(b.cycle_spread() > 0.0);
-        assert!(b.cycle_spread() < 0.5);
     }
 
     #[test]

@@ -61,6 +61,18 @@ pub enum Sparsity {
 
 /// Per-chunk broadcast/setup overhead in cycles, charged by every
 /// chunk-barrier simulator and by the analytical model.
+///
+/// One cycle is a modelling assumption, not a derived cost: it charges the
+/// chunk broadcast, and it does not charge the fill of the unit's join
+/// pipeline (mask update → priority encode → prefix-sum offset → operand
+/// fetch → MAC). The model takes §5.3 at its word, "the sparse computation
+/// latency overheads do not hurt performance due to simple pipelining",
+/// and assumes each chunk's matches enter the pipe behind the previous
+/// chunk's, so the fill is never exposed. `sparten_arch::JoinPipeline`
+/// models the drained case, where a non-empty chunk costs
+/// `stages + matches` cycles; no simulator uses it, and no test ties this
+/// value to it. The value stays at one because the goldens in `results/`
+/// rest on it.
 pub const CHUNK_OVERHEAD: u64 = 1;
 
 /// Broadcast-buffer depth: how many chunks a unit may run ahead of the

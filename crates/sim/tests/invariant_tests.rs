@@ -2,9 +2,9 @@
 //!
 //! These properties must hold for *every* layer and every architecture:
 //!
-//! 1. **MAC-count ground truth** — the number of `JoinStep`s the
-//!    word-parallel `fast_join` emits over a window equals the dense
-//!    reference's count of position pairs where both operands are
+//! 1. **MAC-count ground truth** — the MAC count the word-parallel
+//!    `join_eval` reports over a window equals the dense reference's
+//!    count of position pairs where both operands are
 //!    non-zero, and equals the `MaskModel`'s precomputed work. This ties
 //!    the fast path, the functional chunking, and the simulators' work
 //!    model to one number.
@@ -30,7 +30,7 @@
 //!
 //! The sweep is seeded and deterministic; `exhaustive-tests` widens it.
 
-use sparten_arch::fast::fast_join;
+use sparten_arch::fast::join_eval;
 use sparten_core::balance::{BalanceMode, GroupAssignment, LayerBalance};
 use sparten_core::chunking::{filter_to_chunks, linearize_window_padded};
 use sparten_core::SimError;
@@ -123,11 +123,10 @@ fn fast_join_mac_count_equals_dense_reference() {
             for (f, fc) in filter_chunks.iter().enumerate() {
                 let mut join_macs = 0usize;
                 for (ic, fcc) in win.chunks().iter().zip(fc.chunks()) {
-                    let mut join = fast_join(ic, fcc);
-                    join_macs += join.by_ref().count();
+                    join_macs += join_eval(ic, fcc).1;
                 }
                 let expect = dense_reference_macs(&w, ox, oy, f);
-                assert_eq!(join_macs, expect, "fast_join vs dense reference");
+                assert_eq!(join_macs, expect, "join_eval vs dense reference");
                 let window_work: u32 = (0..model.chunks_per_window())
                     .map(|c| table.join(f, c, lane))
                     .sum();

@@ -4,13 +4,13 @@
 //! This facade re-exports the whole public API:
 //!
 //! * [`tensor`] — bit-mask sparse tensors (SparseMaps, chunks), CSR/RLE
-//!   comparison formats, Z-first layout, the output-region allocator;
+//!   comparison formats, Z-first layout;
 //! * [`arch`] — circuit-level models: prefix sums, priority encoder,
 //!   inner-join sequencer, output compactor, permutation network;
 //! * [`nn`] — CNN substrate: shapes, reference convolution, pruning, the
 //!   paper's Table 3 benchmark networks, synthetic workload generation;
 //! * [`core`] — the SparTen accelerator: compute clusters, greedy
-//!   balancing (GB-S / GB-H), the functional engine, the BLAS-like API;
+//!   balancing (GB-S / GB-H), the functional engine;
 //! * [`sim`] — cycle-level simulators for Dense, One-sided, SparTen, and
 //!   SCNN with the paper's execution-time breakdown;
 //! * [`energy`] — the 45 nm energy model (Figure 13) and the cluster ASIC

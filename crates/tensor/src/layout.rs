@@ -2,11 +2,7 @@
 //!
 //! Data is held in two parts. The first is an array of `(SparseMap, ptr)`
 //! two-tuples, one per chunk — the [`ChunkDirectory`]. The second holds the
-//! variable-count non-zero values. Because different clusters concurrently
-//! produce different sub-tensors of the output map, SparTen lays out each
-//! cluster's output values contiguously in a per-cluster memory region
-//! ([`ClusterRegion`]), sized for the average case plus padding (e.g. 10 %),
-//! with a watermark-based fallback allocation when a region fills.
+//! variable-count non-zero values.
 
 use crate::mask::SparseMap;
 
@@ -66,159 +62,6 @@ impl ChunkDirectory {
     }
 }
 
-/// A contiguous memory region owned by one cluster for its output values.
-///
-/// The region is provisioned for the expected value count plus a padding
-/// fraction; writes beyond capacity spill to *fallback extents* allocated in
-/// the background once a watermark is crossed (§3.1). Because every chunk's
-/// values carry their own pointer, extents need not be contiguous with the
-/// base region.
-#[derive(Debug, Clone)]
-pub struct ClusterRegion {
-    base_capacity: usize,
-    used: usize,
-    watermark: f64,
-    fallback_extents: Vec<usize>,
-    fallback_requested: bool,
-}
-
-impl ClusterRegion {
-    /// Provisions a region for `expected_values` with `padding` fractional
-    /// slack (the paper suggests ~10 %, i.e. `padding = 0.10`) and a
-    /// `watermark` fill fraction that triggers background fallback
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `padding < 0` or `watermark` is not in `(0, 1]`.
-    pub fn new(expected_values: usize, padding: f64, watermark: f64) -> Self {
-        assert!(padding >= 0.0, "padding must be non-negative");
-        assert!(
-            watermark > 0.0 && watermark <= 1.0,
-            "watermark must be in (0, 1]"
-        );
-        ClusterRegion {
-            base_capacity: ((expected_values as f64) * (1.0 + padding)).round() as usize,
-            used: 0,
-            watermark,
-            fallback_extents: Vec::new(),
-            fallback_requested: false,
-        }
-    }
-
-    /// Total capacity: base region plus any fallback extents.
-    pub fn capacity(&self) -> usize {
-        self.base_capacity + self.fallback_extents.iter().sum::<usize>()
-    }
-
-    /// Values written so far.
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
-    /// Whether the watermark has been crossed and a background fallback
-    /// allocation is pending.
-    pub fn fallback_pending(&self) -> bool {
-        self.fallback_requested
-    }
-
-    /// Number of fallback extents allocated so far — a fragmentation metric.
-    pub fn num_fallback_extents(&self) -> usize {
-        self.fallback_extents.len()
-    }
-
-    /// Appends `count` output values; returns the starting offset of the
-    /// write within the region's logical address space.
-    ///
-    /// Crossing the watermark sets [`ClusterRegion::fallback_pending`]; the
-    /// caller (the CPU in the paper) services it with
-    /// [`ClusterRegion::grant_fallback`]. Running out of capacity entirely
-    /// grows the region synchronously (modelling a stalled allocation) —
-    /// callers can detect that via the extent count.
-    pub fn append(&mut self, count: usize) -> usize {
-        let offset = self.used;
-        self.used += count;
-        if self.used > self.capacity() {
-            // Synchronous emergency extent: exactly the overflow, doubled to
-            // avoid thrashing.
-            let need = (self.used - self.capacity()).max(1) * 2;
-            self.fallback_extents.push(need);
-            self.fallback_requested = false;
-        } else if (self.used as f64) >= self.watermark * (self.capacity() as f64) {
-            self.fallback_requested = true;
-        }
-        offset
-    }
-
-    /// Services a pending fallback request with an extent of `size` values.
-    pub fn grant_fallback(&mut self, size: usize) {
-        self.fallback_extents.push(size);
-        self.fallback_requested = false;
-    }
-
-    /// Unused capacity (internal fragmentation if the layer ends here).
-    pub fn slack(&self) -> usize {
-        self.capacity().saturating_sub(self.used)
-    }
-}
-
-/// Allocates per-cluster output regions for a layer, keeping different
-/// clusters' outputs in disjoint regions so value writes never serialize.
-#[derive(Debug, Clone)]
-pub struct RegionAllocator {
-    regions: Vec<ClusterRegion>,
-}
-
-impl RegionAllocator {
-    /// Provisions one region per cluster. `expected_per_cluster` is the
-    /// average-case value count each cluster will produce.
-    pub fn new(
-        num_clusters: usize,
-        expected_per_cluster: usize,
-        padding: f64,
-        watermark: f64,
-    ) -> Self {
-        RegionAllocator {
-            regions: (0..num_clusters)
-                .map(|_| ClusterRegion::new(expected_per_cluster, padding, watermark))
-                .collect(),
-        }
-    }
-
-    /// Number of cluster regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The region owned by `cluster`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is out of range.
-    pub fn region(&self, cluster: usize) -> &ClusterRegion {
-        &self.regions[cluster]
-    }
-
-    /// Mutable access to the region owned by `cluster`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is out of range.
-    pub fn region_mut(&mut self, cluster: usize) -> &mut ClusterRegion {
-        &mut self.regions[cluster]
-    }
-
-    /// Total values written across all regions.
-    pub fn total_used(&self) -> usize {
-        self.regions.iter().map(ClusterRegion::used).sum()
-    }
-
-    /// Total slack (fragmentation) across all regions.
-    pub fn total_slack(&self) -> usize {
-        self.regions.iter().map(ClusterRegion::slack).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,49 +76,5 @@ mod tests {
         assert_eq!(d.entries()[1].value_ptr, 512);
         // 2 chunks × (128-bit mask + 32-bit ptr).
         assert_eq!(d.storage_bits(128, 32), 2 * 160);
-    }
-
-    #[test]
-    fn region_appends_without_fallback_below_watermark() {
-        let mut r = ClusterRegion::new(100, 0.10, 0.9);
-        assert_eq!(r.capacity(), 110);
-        let off = r.append(50);
-        assert_eq!(off, 0);
-        assert!(!r.fallback_pending());
-        assert_eq!(r.append(10), 50);
-    }
-
-    #[test]
-    fn watermark_triggers_fallback_request() {
-        let mut r = ClusterRegion::new(100, 0.0, 0.8);
-        r.append(85);
-        assert!(r.fallback_pending());
-        r.grant_fallback(50);
-        assert!(!r.fallback_pending());
-        assert_eq!(r.capacity(), 150);
-    }
-
-    #[test]
-    fn overflow_allocates_emergency_extent() {
-        let mut r = ClusterRegion::new(10, 0.0, 0.99);
-        r.append(25);
-        assert!(r.capacity() >= 25);
-        assert_eq!(r.num_fallback_extents(), 1);
-    }
-
-    #[test]
-    fn allocator_keeps_regions_disjoint() {
-        let mut a = RegionAllocator::new(4, 100, 0.10, 0.9);
-        a.region_mut(0).append(30);
-        a.region_mut(3).append(70);
-        assert_eq!(a.total_used(), 100);
-        assert_eq!(a.region(1).used(), 0);
-        assert!(a.total_slack() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark")]
-    fn bad_watermark_panics() {
-        ClusterRegion::new(10, 0.1, 0.0);
     }
 }

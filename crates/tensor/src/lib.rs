@@ -21,8 +21,7 @@
 //! * [`size`] — the representation-size analysis of §3.1 (bit-mask vs
 //!   pointer crossover at `f < 1/log2(n)`);
 //! * [`layout`] — the memory layout of §3.1: per-chunk `(SparseMap, ptr)`
-//!   directories and the per-cluster output-region allocator with
-//!   average-case padding and a watermark-based fallback.
+//!   directories.
 //!
 //! # Example
 //!
@@ -36,7 +35,6 @@
 //! ```
 
 pub mod chunk;
-pub mod convert;
 pub mod error;
 pub mod csc;
 pub mod csr;
@@ -50,12 +48,11 @@ pub mod sparse3;
 pub mod vector;
 
 pub use chunk::SparseChunk;
-pub use convert::FormattedImage;
 pub use csc::CscMatrix;
 pub use csr::{CsrMatrix, IndexVector};
 pub use dense::Tensor3;
 pub use error::TensorError;
-pub use layout::{ChunkDirectory, ClusterRegion, RegionAllocator};
+pub use layout::ChunkDirectory;
 pub use mask::SparseMap;
 pub use prng::Rng64;
 pub use rle::RleVector;

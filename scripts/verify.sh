@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
-# Offline tier-1 verification: build, lint, test, then smoke every
-# harness surface against the committed goldens — a cold full-registry
-# run (stdout and artifacts byte-compared with results/), its warm
-# rerun, telemetry, crash -> resume, the DSE sweep, the model oracle,
-# bench, the CLI's unknown-flag handling, serve, and the three seeded
-# campaigns. No network access required; the workspace has no external
-# dependencies.
+# Offline tier-1 verification: build, lint, document, test, run the
+# examples, then smoke every harness surface against the committed
+# goldens — a cold full-registry run (stdout and artifacts byte-compared
+# with results/), its warm rerun, telemetry, crash -> resume, the DSE
+# sweep, the model oracle, bench, the CLI's unknown-flag handling, serve,
+# and the three seeded campaigns. No network access required; the
+# workspace has no external dependencies.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,8 +16,16 @@ cargo build --workspace --release
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings: broken intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test =="
 cargo test --workspace -q
+
+echo "== examples (each README example runs to exit 0) =="
+for example in quickstart alexnet_layer greedy_balancing compare_architectures balance_trace; do
+  cargo run -q --release -p sparten --example "$example" > /dev/null
+done
 
 HARNESS_BIN="$PWD/target/release/sparten-harness"
 SMOKE="$(mktemp -d)"
